@@ -24,6 +24,12 @@
 #                  the session-table knob/reuse tests, and the mux ablation
 #                  bench at smoke scale - the fast "did a refactor break
 #                  session multiplexing" gate.
+#   --sanitize     build the `asan` preset (ASan + UBSan + libstdc++
+#                  assertions, -fno-omit-frame-pointer, into build-asan/) and
+#                  run the full ctest suite with LeakSanitizer on. The test preset sets
+#                  ASAN_OPTIONS/UBSAN_OPTIONS so any address, leak or
+#                  undefined-behaviour report fails its test - the gate for
+#                  the hand-written wire decoders' bounds checks.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -35,6 +41,14 @@ if [[ "${1:-}" == "--bench-smoke" ]]; then
   cmake --preset release
   cmake --build --preset release -j "$JOBS"
   ctest --test-dir build-release -L bench-smoke --output-on-failure -j "$JOBS"
+  exit 0
+fi
+
+if [[ "${1:-}" == "--sanitize" ]]; then
+  cmake --preset asan
+  cmake --build --preset asan -j "$JOBS"
+  ctest --preset asan -j "$JOBS"
+  echo "sanitize OK"
   exit 0
 fi
 

@@ -12,17 +12,15 @@ void ByteWriter::patch_u32(std::size_t offset, std::uint32_t v) {
 }
 
 std::optional<std::string> ByteReader::str() {
-  auto len = u32();
-  if (!len || remaining() < *len) return std::nullopt;
-  std::string s(reinterpret_cast<const char*>(data_.data() + pos_), *len);
-  pos_ += *len;
-  return s;
+  auto s = str_view();
+  if (!s) return std::nullopt;
+  return std::string(*s);
 }
 
 std::optional<Bytes> ByteReader::blob() {
-  auto len = u32();
-  if (!len || remaining() < *len) return std::nullopt;
-  return raw(*len);
+  auto b = blob_view();
+  if (!b) return std::nullopt;
+  return Bytes(b->begin(), b->end());
 }
 
 std::optional<Bytes> ByteReader::raw(std::size_t n) {

@@ -8,6 +8,7 @@
 // reproducible.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -118,6 +119,21 @@ class ByteReader {
 
   std::optional<std::string> str();
   std::optional<Bytes> blob();
+  /// Like str()/blob(), but view the bytes in place instead of copying
+  /// them: the view is valid as long as the underlying buffer.
+  std::optional<std::string_view> str_view() {
+    auto b = blob_view();
+    if (!b) return std::nullopt;
+    return std::string_view(reinterpret_cast<const char*>(b->data()),
+                            b->size());
+  }
+  std::optional<std::span<const std::uint8_t>> blob_view() {
+    auto len = u32();
+    if (!len || remaining() < *len) return std::nullopt;
+    auto out = data_.subspan(pos_, *len);
+    pos_ += *len;
+    return out;
+  }
 
   /// Raw bytes of exactly `n`, no prefix.
   std::optional<Bytes> raw(std::size_t n);
@@ -132,8 +148,12 @@ class ByteReader {
   std::optional<T> take_le() {
     if (remaining() < sizeof(T)) return std::nullopt;
     T v = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v = static_cast<T>(v | (static_cast<T>(data_[pos_ + i]) << (8 * i)));
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(&v, data_.data() + pos_, sizeof(T));
+    } else {
+      for (std::size_t i = 0; i < sizeof(T); ++i) {
+        v = static_cast<T>(v | (static_cast<T>(data_[pos_ + i]) << (8 * i)));
+      }
     }
     pos_ += sizeof(T);
     return v;

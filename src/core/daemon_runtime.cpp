@@ -178,7 +178,7 @@ void DaemonRuntime::maybe_run_handshake() {
 
 void DaemonRuntime::on_handshake_bcast(const Bytes& data) {
   ByteReader r(data);
-  auto table = r.blob();
+  auto table = r.blob_view();
   auto usr = r.blob();
   if (!table || !usr) {
     fail(Status(Rc::Esubcom, "malformed handshake broadcast"));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -354,6 +355,16 @@ namespace {
 constexpr double kFrameBytes = 13.0;
 constexpr double kEntryBytes = 8.0;
 
+/// Resolves a fabric shape the way the FE API does: a k-ary arity of 0
+/// means "the platform's RM fan-out".
+comm::TopologySpec resolve_fabric(comm::TopologySpec spec,
+                                  const cluster::CostModel& costs) {
+  if (spec.kind == comm::TopologyKind::KAry && spec.arity == 0) {
+    spec.arity = static_cast<std::uint32_t>(costs.rm_launch_fanout);
+  }
+  return spec;
+}
+
 sim::Time scaled_per_kb(sim::Time per_kb, double bytes) {
   return static_cast<sim::Time>(static_cast<double>(per_kb) * bytes /
                                 1024.0);
@@ -404,11 +415,8 @@ double PerfModel::collective_bcast(CollectiveProtocol proto,
                                    const comm::TopologySpec& spec, int n,
                                    std::size_t payload_bytes) const {
   if (n <= 1) return 0.0;
-  comm::TopologySpec resolved = spec;
-  if (resolved.kind == comm::TopologyKind::KAry && resolved.arity == 0) {
-    resolved.arity = static_cast<std::uint32_t>(costs_.rm_launch_fanout);
-  }
-  const comm::Topology topo(resolved, static_cast<std::uint32_t>(n));
+  const comm::Topology topo(resolve_fabric(spec, costs_),
+                            static_cast<std::uint32_t>(n));
   const sim::Time L = costs_.net_latency;
   const sim::Time h = costs_.iccl_msg_handle;
   const double bw = costs_.bandwidth_bytes_per_sec;
@@ -505,157 +513,258 @@ std::optional<std::size_t> PerfModel::collective_crossover(
       });
 }
 
-double PerfModel::collective_gather(CollectiveProtocol proto,
-                                    const comm::TopologySpec& spec, int n,
-                                    std::size_t payload_bytes) const {
-  if (n <= 1) return 0.0;
-  comm::TopologySpec resolved = spec;
-  if (resolved.kind == comm::TopologyKind::KAry && resolved.arity == 0) {
-    resolved.arity = static_cast<std::uint32_t>(costs_.rm_launch_fanout);
-  }
-  const comm::Topology topo(resolved, static_cast<std::uint32_t>(n));
-  const sim::Time L = costs_.net_latency;
-  const sim::Time h = costs_.iccl_msg_handle;
-  const double bw = costs_.bandwidth_bytes_per_sec;
-  auto wire = [&](double bytes) {
-    return L + static_cast<sim::Time>(bytes / bw * 1e9);
-  };
-  const double S = static_cast<double>(payload_bytes);
-  const auto nn = static_cast<std::uint32_t>(n);
+namespace {
 
-  // Release wave: the root broadcasts an empty go frame (eager; 21 wire
-  // bytes, handle-only quanta); rank r's contribution is issued the moment
-  // its release frame is processed. A[0] = 0: the root issues the release
-  // and contributes in the same event.
-  std::vector<sim::Time> A(nn, 0);
-  {
+/// The gather schedule of one fabric, reusable across payloads: the release
+/// wave, subtree sizes, the GatherRts announce wave and the CTS clearances
+/// do not depend on the payload, so a solver computes them once and then
+/// evaluates any number of payloads.
+///
+/// Rendezvous chunk streams are solved once per distinct *ordered subtree
+/// shape* (a shape is the ordered list of its children's shapes), not once
+/// per rank, and stitched at the root. Three facts make this exact:
+///  - inside a non-root subtree rooted at r every time is an offset from
+///    r's clearance G[r]: child i is cleared at G[r] + i*h + cts_wire + h,
+///    and everything below it is built from such fixed offsets;
+///  - the cursor's initial value of 0 never binds: every ready time is at
+///    least G[r] >= 0;
+///  - the FIFO clamp seeded at rts_arr[c] never binds, because every chunk
+///    of c departs at or after G[c] and G[c] > rts_arr[c]. Only a fabric
+///    with zero handle, latency and wire costs can reach G[c] == rts_arr[c];
+///    that case is one bit of the shape key, so the solve stays exact.
+/// Own chunks are all ready at offset 0 and win ties, so a stream is the
+/// own chunks followed by a merge of the children's relayed streams (ties
+/// in children order) - the order a stable sort of the concatenation gives.
+class GatherSolver {
+ public:
+  GatherSolver(const cluster::CostModel& costs, const comm::Topology& topo)
+      : costs_(costs), n_(topo.size()), kids_(n_) {
+    for (std::uint32_t r = 0; r < n_; ++r) kids_[r] = topo.children_of(r);
+
+    // Release wave: the root broadcasts an empty go frame (eager; 21 wire
+    // bytes, handle-only quanta); rank r's contribution is issued the
+    // moment its release frame is processed. A[0] = 0: the root issues the
+    // release and contributes in the same event.
+    const sim::Time h = costs_.iccl_msg_handle;
+    A_.assign(n_, 0);
     const sim::Time frame_wire = wire(kFrameBytes + kEntryBytes);
-    for (std::uint32_t r = 0; r < nn; ++r) {
-      const auto children = topo.children_of(r);
+    for (std::uint32_t r = 0; r < n_; ++r) {
+      const auto& children = kids_[r];
       for (std::size_t i = 0; i < children.size(); ++i) {
-        A[children[i]] = A[r] + static_cast<sim::Time>(i) * h + frame_wire + h;
+        A_[children[i]] =
+            A_[r] + static_cast<sim::Time>(i) * h + frame_wire + h;
       }
     }
-  }
-  // Subtree sizes (parent < child in every fabric family).
-  std::vector<std::uint32_t> sz(nn, 1);
-  for (std::uint32_t r = nn - 1; r >= 1; --r) {
-    sz[*topo.parent_of(r)] += sz[r];
+    // Subtree sizes (parent < child in every fabric family).
+    sz_.assign(n_, 1);
+    for (std::uint32_t r = n_; r-- > 0;) {
+      for (std::uint32_t c : kids_[r]) sz_[r] += sz_[c];
+    }
+    // R[r]: rank r's announce time (GatherRts, one 12-byte origin record
+    // per subtree rank); rts_arr[c]: c's RTS arrival at its parent.
+    std::vector<sim::Time> R(n_, 0);
+    rts_arr_.assign(n_, 0);
+    for (std::uint32_t r = n_; r-- > 0;) {
+      sim::Time t = A_[r];
+      for (std::uint32_t c : kids_[r]) {
+        rts_arr_[c] = R[c] + wire(kFrameBytes + 12.0 * sz_[c]);
+        t = std::max(t, rts_arr_[c] + h);
+      }
+      R[r] = t;
+    }
+    // At the root: last announce processed (>= own contribute).
+    announced_ = R[0];
+    // G[c]: time child c's clearance (GatherCts) is processed at c. The
+    // root clears each child the moment its RTS is processed; an interior
+    // node clears its children (ascending rank, staggered handle quanta)
+    // only after its own clearance arrives.
+    G_.assign(n_, 0);
+    for (std::uint32_t r = 0; r < n_; ++r) {
+      const auto& children = kids_[r];
+      for (std::size_t i = 0; i < children.size(); ++i) {
+        const std::uint32_t c = children[i];
+        G_[c] = r == 0 ? rts_arr_[c] + h + clearance_offset(0)
+                       : G_[r] + clearance_offset(i);
+      }
+    }
+    // Shape ids, children first: key entry = child shape << 1 | tight bit.
+    shape_of_.assign(n_, 0);
+    std::map<std::vector<std::uint32_t>, std::uint32_t> ids;
+    std::vector<std::uint32_t> key;
+    for (std::uint32_t r = n_; r-- > 1;) {
+      key.clear();
+      for (std::uint32_t c : kids_[r]) {
+        key.push_back(shape_of_[c] << 1 | (G_[c] == rts_arr_[c] ? 1u : 0u));
+      }
+      const auto [it, fresh] =
+          ids.try_emplace(key, static_cast<std::uint32_t>(shapes_.size()));
+      if (fresh) shapes_.push_back(key);
+      shape_of_[r] = it->second;
+    }
   }
 
-  if (proto == CollectiveProtocol::Eager || payload_bytes == 0) {
-    // Store-and-forward: each node waits for every child's whole-subtree
-    // GatherUp, then forwards one combined frame; the receiver pays the
-    // handle plus the bounce-buffer copy-out of the full frame payload.
-    std::vector<sim::Time> U(nn, 0);
-    for (std::uint32_t r = nn; r-- > 0;) {
-      sim::Time t = A[r];
-      for (std::uint32_t c : topo.children_of(r)) {
+  /// Store-and-forward: each node waits for every child's whole-subtree
+  /// GatherUp, then forwards one combined frame; the receiver pays the
+  /// handle plus the bounce-buffer copy-out of the full frame payload.
+  [[nodiscard]] sim::Time eager(std::size_t payload_bytes) const {
+    const double S = static_cast<double>(payload_bytes);
+    std::vector<sim::Time> U(n_, 0);
+    for (std::uint32_t r = n_; r-- > 0;) {
+      sim::Time t = A_[r];
+      for (std::uint32_t c : kids_[r]) {
         const double entry_bytes =
-            static_cast<double>(sz[c]) * (kEntryBytes + S);
+            static_cast<double>(sz_[c]) * (kEntryBytes + S);
         const sim::Time processed =
-            U[c] + wire(kFrameBytes + entry_bytes) + h +
+            U[c] + wire(kFrameBytes + entry_bytes) + costs_.iccl_msg_handle +
             scaled_per_kb(costs_.iccl_eager_copy_per_kb,
-                          static_cast<double>(sz[c]) * S);
+                          static_cast<double>(sz_[c]) * S);
         t = std::max(t, processed);
       }
       U[r] = t;
     }
-    return seconds(U[0]);
+    return U[0];
   }
 
-  // Rendezvous: announce wave up (GatherRts, one 12-byte origin record per
-  // subtree rank), per-child CTS clearances gated on the parent's own
-  // clearance (the flow-control chain), then chunks stream through each
-  // node's serialized cursor with cut-through relay.
-  const std::uint32_t C = costs_.iccl_rndv_chunk_bytes;
-  const sim::Time c_h = costs_.iccl_chunk_handle;
-  const sim::Time cts_wire = wire(kFrameBytes);
-
-  // R[r]: rank r's announce time; rts_arr[c]: c's RTS arrival at its parent.
-  std::vector<sim::Time> R(nn, 0);
-  std::vector<sim::Time> rts_arr(nn, 0);
-  for (std::uint32_t r = nn; r-- > 0;) {
-    sim::Time t = A[r];
-    for (std::uint32_t c : topo.children_of(r)) {
-      rts_arr[c] = R[c] + wire(kFrameBytes + 12.0 * sz[c]);
-      t = std::max(t, rts_arr[c] + h);
-    }
-    R[r] = t;  // at the root: last announce processed (>= own contribute)
-  }
-  // G[c]: time child c's clearance (GatherCts) is processed at c. The root
-  // clears each child the moment its RTS is processed; an interior node
-  // clears its children (ascending rank, staggered handle quanta) only
-  // after its own clearance arrives.
-  std::vector<sim::Time> G(nn, 0);
-  for (std::uint32_t r = 0; r < nn; ++r) {
-    const auto children = topo.children_of(r);
-    for (std::size_t i = 0; i < children.size(); ++i) {
-      const sim::Time depart =
-          r == 0 ? rts_arr[children[i]] + h
-                 : G[r] + static_cast<sim::Time>(i) * h;
-      G[children[i]] = depart + cts_wire + h;
-    }
-  }
-  // Chunk pattern of one per-rank contribution.
-  const auto m = static_cast<std::uint32_t>((payload_bytes + C - 1) / C);
-  auto chunk_size = [&](std::uint32_t j) {
-    return j + 1 == m ? S - static_cast<double>(j) * C
-                      : static_cast<double>(C);
-  };
-  // sched[r]: rank r's upstream chunk departures (time, bytes), built
-  // children-first so relays merge their children's processed chunks with
-  // their own (enqueued all at once at G[r]) through the cursor.
-  std::vector<std::vector<std::pair<sim::Time, double>>> sched(nn);
-  for (std::uint32_t r = nn; r-- > 1;) {
-    std::vector<std::pair<sim::Time, double>> ready;
-    ready.reserve(m + 1);
+  /// Per-child CTS clearances gated on the parent's own clearance (the
+  /// flow-control chain), then chunks stream through each node's
+  /// serialized cursor with cut-through relay.
+  [[nodiscard]] sim::Time rendezvous(std::size_t payload_bytes) const {
+    const double S = static_cast<double>(payload_bytes);
+    const std::uint32_t C = costs_.iccl_rndv_chunk_bytes;
+    const sim::Time c_h = costs_.iccl_chunk_handle;
+    // Chunk pattern of one per-rank contribution, as wire times.
+    const auto m = static_cast<std::uint32_t>((payload_bytes + C - 1) / C);
+    std::vector<sim::Time> own(m);
     for (std::uint32_t j = 0; j < m; ++j) {
-      ready.emplace_back(G[r], chunk_size(j));
+      const double chunk_bytes = j + 1 == m
+                                     ? S - static_cast<double>(j) * C
+                                     : static_cast<double>(C);
+      own[j] = wire(kFrameBytes + kEntryBytes + chunk_bytes);
     }
-    for (std::uint32_t c : topo.children_of(r)) {
-      sim::Time last_arrival = rts_arr[c];
-      for (const auto& [dep, bytes] : sched[c]) {
-        sim::Time arr = dep + wire(kFrameBytes + kEntryBytes + bytes);
-        if (arr <= last_arrival) arr = last_arrival + 1;  // FIFO
-        last_arrival = arr;
-        ready.emplace_back(arr + c_h, bytes);
+
+    // streams[s]: upstream departures of a shape-s subtree root, relative
+    // to its clearance.
+    std::vector<std::vector<Chunk>> streams(shapes_.size());
+    std::vector<std::vector<Chunk>> relayed;
+    std::vector<std::size_t> head;
+    for (std::size_t s = 0; s < shapes_.size(); ++s) {
+      const auto& key = shapes_[s];
+      const std::size_t k = key.size();
+      relayed.resize(std::max(relayed.size(), k));
+      std::size_t total = m;
+      for (std::size_t i = 0; i < k; ++i) {
+        const sim::Time offset = clearance_offset(i);
+        const sim::Time seed = (key[i] & 1u) != 0
+                                   ? offset
+                                   : std::numeric_limits<sim::Time>::min();
+        relay(streams[key[i] >> 1], offset, seed, relayed[i]);
+        total += relayed[i].size();
+      }
+      auto& out = streams[s];
+      out.reserve(total);
+      sim::Time cursor = 0;
+      auto depart = [&](sim::Time t, sim::Time w) {
+        const sim::Time d = std::max(cursor, t);
+        out.push_back({d, w});
+        cursor = d + c_h;
+      };
+      for (const sim::Time w : own) depart(0, w);
+      head.assign(k, 0);
+      for (;;) {
+        std::size_t best = k;
+        for (std::size_t i = 0; i < k; ++i) {
+          if (head[i] == relayed[i].size()) continue;
+          if (best == k ||
+              relayed[i][head[i]].t < relayed[best][head[best]].t) {
+            best = i;
+          }
+        }
+        if (best == k) break;
+        const Chunk& c = relayed[best][head[best]++];
+        depart(c.t, c.wire);
       }
     }
-    std::stable_sort(ready.begin(), ready.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first < b.first;
-                     });
-    auto& out = sched[r];
-    out.reserve(ready.size());
-    sim::Time cursor = 0;
-    for (const auto& [t, bytes] : ready) {
-      const sim::Time depart = std::max(cursor, t);
-      out.emplace_back(depart, bytes);
-      cursor = depart + c_h;
+
+    // Root delivery: own contribution and every announce processed, plus
+    // the last chunk of every child stream processed.
+    sim::Time done = announced_;
+    std::vector<Chunk> at_root;
+    for (std::uint32_t c : kids_[0]) {
+      relay(streams[shape_of_[c]], G_[c], rts_arr_[c], at_root);
+      if (!at_root.empty()) done = std::max(done, at_root.back().t);
     }
+    return done;
   }
-  // Root delivery: own contribution and every announce processed (R[0]),
-  // plus the last chunk of every child stream processed.
-  sim::Time done = R[0];
-  for (std::uint32_t c : topo.children_of(0)) {
-    sim::Time last_arrival = rts_arr[c];
-    for (const auto& [dep, bytes] : sched[c]) {
-      sim::Time arr = dep + wire(kFrameBytes + kEntryBytes + bytes);
+
+ private:
+  /// One chunk of an upstream stream: its time and its wire cost per hop.
+  struct Chunk {
+    sim::Time t;
+    sim::Time wire;
+  };
+
+  [[nodiscard]] sim::Time wire(double bytes) const {
+    return costs_.net_latency +
+           static_cast<sim::Time>(bytes / costs_.bandwidth_bytes_per_sec *
+                                  1e9);
+  }
+  /// Clearance of a node's i-th child, less the node's own clearance.
+  [[nodiscard]] sim::Time clearance_offset(std::size_t i) const {
+    const sim::Time h = costs_.iccl_msg_handle;
+    return static_cast<sim::Time>(i) * h + wire(kFrameBytes) + h;
+  }
+  /// Child departures shifted by `offset` into the parent's frame, sent
+  /// over the link (FIFO: each arrival strictly after the previous one,
+  /// the first strictly after `seed`) and processed at the parent.
+  void relay(const std::vector<Chunk>& in, sim::Time offset, sim::Time seed,
+             std::vector<Chunk>& out) const {
+    out.clear();
+    out.reserve(in.size());
+    sim::Time last_arrival = seed;
+    for (const Chunk& c : in) {
+      sim::Time arr = offset + c.t + c.wire;
       if (arr <= last_arrival) arr = last_arrival + 1;  // FIFO
       last_arrival = arr;
-      done = std::max(done, arr + c_h);
+      out.push_back({arr + costs_.iccl_chunk_handle, c.wire});
     }
   }
-  return seconds(done);
+
+  const cluster::CostModel& costs_;
+  std::uint32_t n_;
+  std::vector<std::vector<std::uint32_t>> kids_;
+  std::vector<sim::Time> A_;
+  std::vector<std::uint32_t> sz_;
+  sim::Time announced_ = 0;
+  std::vector<sim::Time> rts_arr_;
+  std::vector<sim::Time> G_;
+  std::vector<std::uint32_t> shape_of_;
+  std::vector<std::vector<std::uint32_t>> shapes_;
+};
+
+}  // namespace
+
+double PerfModel::collective_gather(CollectiveProtocol proto,
+                                    const comm::TopologySpec& spec, int n,
+                                    std::size_t payload_bytes) const {
+  if (n <= 1) return 0.0;
+  const GatherSolver solver(
+      costs_, comm::Topology(resolve_fabric(spec, costs_),
+                             static_cast<std::uint32_t>(n)));
+  return seconds(proto == CollectiveProtocol::Eager || payload_bytes == 0
+                     ? solver.eager(payload_bytes)
+                     : solver.rendezvous(payload_bytes));
 }
 
 std::optional<std::size_t> PerfModel::collective_gather_crossover(
     const comm::TopologySpec& spec, int n, std::size_t max_payload) const {
+  // One solver for every probe: the payload-independent waves and shape
+  // ids are solved once per call.
+  const GatherSolver solver(
+      costs_, comm::Topology(resolve_fabric(spec, costs_),
+                             static_cast<std::uint32_t>(std::max(n, 1))));
   return crossover_from_gap(
       costs_.iccl_rndv_chunk_bytes, max_payload, [&](std::size_t s) {
-        return collective_gather(CollectiveProtocol::Eager, spec, n, s) -
-               collective_gather(CollectiveProtocol::Rendezvous, spec, n, s);
+        return seconds(solver.eager(s)) - seconds(solver.rendezvous(s));
       });
 }
 
@@ -663,11 +772,8 @@ double PerfModel::collective_scatter(CollectiveProtocol proto,
                                      const comm::TopologySpec& spec, int n,
                                      std::size_t payload_bytes) const {
   if (n <= 1) return 0.0;
-  comm::TopologySpec resolved = spec;
-  if (resolved.kind == comm::TopologyKind::KAry && resolved.arity == 0) {
-    resolved.arity = static_cast<std::uint32_t>(costs_.rm_launch_fanout);
-  }
-  const comm::Topology topo(resolved, static_cast<std::uint32_t>(n));
+  const comm::Topology topo(resolve_fabric(spec, costs_),
+                            static_cast<std::uint32_t>(n));
   const sim::Time L = costs_.net_latency;
   const sim::Time h = costs_.iccl_msg_handle;
   const double bw = costs_.bandwidth_bytes_per_sec;

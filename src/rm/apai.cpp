@@ -11,20 +11,6 @@ Bytes encode_proctable(const std::vector<TaskDesc>& entries) {
   return std::move(w).take();
 }
 
-std::optional<std::vector<TaskDesc>> decode_proctable(const Bytes& blob) {
-  ByteReader r(blob);
-  auto count = r.u32();
-  if (!count) return std::nullopt;
-  std::vector<TaskDesc> out;
-  out.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto e = read_task_desc(r);
-    if (!e) return std::nullopt;
-    out.push_back(std::move(*e));
-  }
-  return out;
-}
-
 void publish(cluster::Process& launcher, const std::vector<TaskDesc>& entries) {
   launcher.symbols().write(kProctable, encode_proctable(entries));
   ByteWriter size_w;

@@ -9,7 +9,6 @@
 // the paper's Region B term.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,11 +31,9 @@ inline constexpr const char* kJobId = "totalview_jobid";
 inline constexpr std::uint32_t kDebugSpawned = 1;
 inline constexpr std::uint32_t kDebugAborting = 2;
 
-/// Serializes a proctable: entry count + MPIR_PROCDESC-like records.
+/// Serializes a proctable: entry count + MPIR_PROCDESC-like records. A tool
+/// parses the blob with core::Rpdtab::from_proctable_blob().
 Bytes encode_proctable(const std::vector<TaskDesc>& entries);
-
-/// Parses a proctable blob read from the launcher's address space.
-std::optional<std::vector<TaskDesc>> decode_proctable(const Bytes& blob);
 
 /// Publishes the proctable into a launcher process's symbol space, exactly
 /// as real srun populates MPIR_proctable before calling MPIR_Breakpoint.

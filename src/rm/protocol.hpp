@@ -6,6 +6,7 @@
 // scalably launch tool daemons on a large number of nodes").
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -175,6 +176,9 @@ struct KillDaemons {
 // --- shared encode helpers (used by APAI, tests) -------------------------------------
 
 void write_task_desc(ByteWriter& w, const TaskDesc& t);
+/// Encoded size of one task desc less its two names: two u32 length
+/// prefixes, the i64 pid and the i32 rank.
+inline constexpr std::size_t kTaskDescFixedBytes = 4 + 4 + 8 + 4;
 std::optional<TaskDesc> read_task_desc(ByteReader& r);
 void write_alloc_node(ByteWriter& w, const AllocatedNode& n);
 std::optional<AllocatedNode> read_alloc_node(ByteReader& r);

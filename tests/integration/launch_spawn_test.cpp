@@ -66,8 +66,9 @@ TEST(LaunchSpawn, FourNodeJobLaunchesDaemonsAndTasks) {
   // RPDTAB: 4 nodes x 8 tasks, ranks 0..31, valid pids, 4 distinct hosts.
   ASSERT_EQ(result.proctable.size(), 32u);
   EXPECT_EQ(result.proctable.hosts().size(), 4u);
+  const auto entries = result.proctable.entries();
   for (std::size_t i = 0; i < result.proctable.size(); ++i) {
-    const auto& e = result.proctable.entries()[i];
+    const auto& e = entries[i];
     EXPECT_EQ(e.rank, static_cast<std::int32_t>(i));
     EXPECT_EQ(e.executable, "mpi_app");
     EXPECT_GT(e.pid, 0);

@@ -373,11 +373,14 @@ TEST(Tracing, AttachStopsRunningProcessAndDetachResumes) {
   int ticks = 0;
 
   auto target = std::make_unique<Hooks>();
-  target->start = [&ticks](Process& self) {
-    auto tick = std::make_shared<std::function<void()>>();
-    *tick = [&self, &ticks, tick] {
+  // The test scope owns the tick; the lambda holds a weak_ptr, so no
+  // shared_ptr cycle outlives the test.
+  std::shared_ptr<std::function<void()>> tick;
+  target->start = [&ticks, &tick](Process& self) {
+    tick = std::make_shared<std::function<void()>>();
+    *tick = [&self, &ticks, weak = std::weak_ptr(tick)] {
       ++ticks;
-      self.post(sim::ms(10), *tick);
+      if (auto t = weak.lock()) self.post(sim::ms(10), *t);
     };
     self.post(sim::ms(10), *tick);
   };

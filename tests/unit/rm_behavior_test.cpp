@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "cluster/tracing.hpp"
+#include "core/rpdtab.hpp"
 #include "rm/apai.hpp"
 #include "rm/node_daemon.hpp"
 #include "tests/test_util.hpp"
@@ -128,13 +129,14 @@ TEST(RmLauncher, JobModeProducesBlockDistributedRanks) {
   EXPECT_EQ(launcher->state(), cluster::ProcState::Running);
 
   // MPIR symbols are published even without a tool (attach-later support).
-  auto entries =
-      apai::decode_proctable(*launcher->symbols().find(apai::kProctable));
-  ASSERT_TRUE(entries.has_value());
-  ASSERT_EQ(entries->size(), 16u);
+  auto table = core::Rpdtab::from_proctable_blob(
+      *launcher->symbols().find(apai::kProctable));
+  ASSERT_TRUE(table.has_value());
+  const auto entries = table->entries();
+  ASSERT_EQ(entries.size(), 16u);
   // Block distribution: ranks 0..3 on node 0, etc.
   for (int i = 0; i < 16; ++i) {
-    const auto& e = (*entries)[static_cast<std::size_t>(i)];
+    const auto& e = entries[static_cast<std::size_t>(i)];
     EXPECT_EQ(e.rank, i);
     EXPECT_EQ(e.host, tc.machine.compute_node(i / 4).hostname());
     cluster::Process* task = tc.machine.find_process(e.pid);
@@ -187,12 +189,12 @@ TEST(RmNodeDaemon, SubtreeSplittingIsBalanced) {
   ASSERT_TRUE(job.is_ok());
   tc.simulator.run(tc.simulator.now() + sim::seconds(5));
   cluster::Process* launcher = tc.machine.find_process(job.value);
-  auto entries =
-      apai::decode_proctable(*launcher->symbols().find(apai::kProctable));
-  ASSERT_TRUE(entries.has_value());
-  EXPECT_EQ(entries->size(), 65u);
+  auto table = core::Rpdtab::from_proctable_blob(
+      *launcher->symbols().find(apai::kProctable));
+  ASSERT_TRUE(table.has_value());
+  EXPECT_EQ(table->size(), 65u);
   std::set<std::string> hosts;
-  for (const auto& e : *entries) hosts.insert(e.host);
+  for (const auto& e : table->entries()) hosts.insert(e.host);
   EXPECT_EQ(hosts.size(), 65u);
 }
 

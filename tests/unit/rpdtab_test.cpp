@@ -1,6 +1,11 @@
 // Unit + property tests for the RPDTAB and the MPIR APAI encoding.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "cluster/machine.hpp"
 #include "core/rpdtab.hpp"
 #include "rm/apai.hpp"
@@ -100,6 +105,159 @@ TEST_P(RpdtabPropertyTest, RandomTablesRoundTrip) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RpdtabPropertyTest,
                          ::testing::Range<std::uint64_t>(0, 20));
 
+// --- layout: interned names, rank runs, pid column -------------------------
+
+/// Entries in table order, for layout shapes the runs must reproduce.
+struct Layout {
+  const char* name;
+  std::vector<rm::TaskDesc> entries;
+};
+
+std::vector<Layout> layouts() {
+  std::vector<Layout> out;
+  // Block: 4 hosts x 3 ranks, ranks contiguous per host (one run each).
+  Layout block{"block", {}};
+  for (int i = 0; i < 12; ++i) {
+    block.entries.push_back({"n" + std::to_string(i / 3), "mpi_app",
+                             100 + i, i});
+  }
+  out.push_back(block);
+  // Cyclic: rank i on host i % 4 (every run has length one).
+  Layout cyclic{"cyclic", {}};
+  for (int i = 0; i < 12; ++i) {
+    cyclic.entries.push_back({"n" + std::to_string(i % 4), "mpi_app",
+                              100 + i, i});
+  }
+  out.push_back(cyclic);
+  // A host that comes back after another host's block.
+  out.push_back({"repeated-host",
+                 {{"a", "mpi_app", 10, 0},
+                  {"a", "mpi_app", 11, 1},
+                  {"b", "mpi_app", 12, 2},
+                  {"a", "mpi_app", 13, 3},
+                  {"a", "mpi_app", 14, 4},
+                  {"c", "mpi_app", 15, 5}}});
+  // Mixed executables on one host split its runs (MPMD jobs).
+  out.push_back({"mixed-executables",
+                 {{"a", "ocean", 10, 0},
+                  {"a", "ocean", 11, 1},
+                  {"a", "atmosphere", 12, 2},
+                  {"a", "ocean", 13, 3},
+                  {"b", "atmosphere", 14, 4}}});
+  // Pids follow no pattern; ranks step backwards, jump and wrap.
+  constexpr std::int32_t kMaxRank = std::numeric_limits<std::int32_t>::max();
+  constexpr std::int32_t kMinRank = std::numeric_limits<std::int32_t>::min();
+  out.push_back({"non-contiguous-pids",
+                 {{"a", "mpi_app", 907, 0},
+                  {"a", "mpi_app", 12, 1},
+                  {"a", "mpi_app", 400000, 2},
+                  {"b", "mpi_app", 3, 7},
+                  {"b", "mpi_app", 3, 6},
+                  {"b", "mpi_app", -1, kMaxRank},
+                  {"b", "mpi_app", 5, kMinRank},
+                  {"b", "mpi_app", 6, -7}}});
+  return out;
+}
+
+TEST(RpdtabLayout, RoundTripsAndPacksTheApaiBytes) {
+  for (const Layout& l : layouts()) {
+    SCOPED_TRACE(l.name);
+    const Rpdtab t(l.entries);
+    EXPECT_EQ(t.size(), l.entries.size());
+    EXPECT_EQ(t.entries(), l.entries);
+    const Bytes packed = t.pack();
+    EXPECT_EQ(packed, rm::apai::encode_proctable(t.entries()));
+    EXPECT_EQ(packed, rm::apai::encode_proctable(l.entries));
+    const auto back = Rpdtab::unpack(packed);
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(*back, t);
+    EXPECT_EQ(back->entries(), l.entries);
+    EXPECT_EQ(back->pack(), packed);
+  }
+}
+
+TEST(RpdtabLayout, HostsAndPerHostEntriesMatchTheEntryList) {
+  for (const Layout& l : layouts()) {
+    SCOPED_TRACE(l.name);
+    const auto t = Rpdtab::unpack(Rpdtab(l.entries).pack());
+    ASSERT_TRUE(t.has_value());
+    std::vector<std::string> hosts;
+    for (const auto& e : l.entries) {
+      if (std::find(hosts.begin(), hosts.end(), e.host) == hosts.end()) {
+        hosts.push_back(e.host);
+      }
+    }
+    EXPECT_EQ(t->hosts(), hosts);
+    for (const auto& h : hosts) {
+      std::vector<rm::TaskDesc> want;
+      for (const auto& e : l.entries) {
+        if (e.host == h) want.push_back(e);
+      }
+      EXPECT_EQ(t->entries_for_host(h), want) << h;
+    }
+    EXPECT_TRUE(t->entries_for_host("absent").empty());
+  }
+}
+
+// --- decoder robustness ------------------------------------------------------
+
+/// A decode either fails or yields a table that re-encodes to exactly the
+/// prefix of the input it consumed.
+void expect_nullopt_or_valid(const Bytes& input) {
+  const auto t = Rpdtab::unpack(input);
+  if (!t) return;
+  const Bytes again = t->pack();
+  ASSERT_LE(again.size(), input.size());
+  EXPECT_TRUE(std::equal(again.begin(), again.end(), input.begin()));
+  EXPECT_EQ(t->entries().size(), t->size());
+  std::size_t per_host = 0;
+  for (const auto& h : t->hosts()) per_host += t->entries_for_host(h).size();
+  EXPECT_EQ(per_host, t->size());
+}
+
+TEST(RpdtabDecoder, EveryTruncationIsRejected) {
+  const Bytes packed = Rpdtab(sample_entries()).pack();
+  for (std::size_t cut = 0; cut < packed.size(); ++cut) {
+    const Bytes prefix(packed.begin(),
+                       packed.begin() + static_cast<std::ptrdiff_t>(cut));
+    EXPECT_FALSE(Rpdtab::unpack(prefix).has_value()) << "cut at " << cut;
+  }
+}
+
+TEST(RpdtabDecoder, InflatedCountAndLengthsAreRejected) {
+  const Bytes packed = Rpdtab(sample_entries()).pack();
+  auto patched = [&](std::size_t offset, std::uint32_t v) {
+    ByteWriter w;
+    w.raw(packed);
+    w.patch_u32(offset, v);
+    return std::move(w).take();
+  };
+  // Entry count far beyond what the bytes hold.
+  for (std::uint32_t count : {6u, 1000u, 0xFFFFFFFFu}) {
+    EXPECT_FALSE(Rpdtab::unpack(patched(0, count)).has_value()) << count;
+  }
+  // First entry's host length, then its executable length ("atlas1" is 6
+  // bytes, so the executable's prefix sits at 4 + 4 + 6).
+  for (std::size_t offset : {std::size_t{4}, std::size_t{14}}) {
+    for (std::uint32_t len : {0x100u, 0x7FFFFFFFu, 0xFFFFFFFFu}) {
+      EXPECT_FALSE(Rpdtab::unpack(patched(offset, len)).has_value())
+          << offset << " " << len;
+    }
+  }
+}
+
+TEST(RpdtabDecoder, SingleBitFlipsNeverCrash) {
+  const Bytes packed = Rpdtab(sample_entries()).pack();
+  for (std::size_t byte = 0; byte < packed.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      Bytes flipped = packed;
+      flipped[byte] = static_cast<std::uint8_t>(flipped[byte] ^ (1u << bit));
+      SCOPED_TRACE(::testing::Message() << "byte " << byte << " bit " << bit);
+      expect_nullopt_or_valid(flipped);
+    }
+  }
+}
+
 TEST(Apai, PublishExposesMpirSymbols) {
   sim::Simulator simulator;
   cluster::Machine machine(simulator, cluster::MachineConfig{1, 0, "t", {}});
@@ -119,10 +277,10 @@ TEST(Apai, PublishExposesMpirSymbols) {
   EXPECT_TRUE(p->symbols().has(rm::apai::kProctableSize));
   EXPECT_TRUE(p->symbols().has(rm::apai::kDebugState));
 
-  auto entries =
-      rm::apai::decode_proctable(*p->symbols().find(rm::apai::kProctable));
-  ASSERT_TRUE(entries.has_value());
-  EXPECT_EQ(*entries, sample_entries());
+  auto table =
+      Rpdtab::from_proctable_blob(*p->symbols().find(rm::apai::kProctable));
+  ASSERT_TRUE(table.has_value());
+  EXPECT_EQ(table->entries(), sample_entries());
 
   ByteReader size_r(*p->symbols().find(rm::apai::kProctableSize));
   EXPECT_EQ(size_r.u32(), 5u);
