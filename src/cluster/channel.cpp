@@ -98,6 +98,7 @@ void Channel::close(Pid closer) {
 
   Process* me = machine_.find_process(closer);
   if (me != nullptr) me->forget_channel(id_);
+  if (on_close_) std::exchange(on_close_, nullptr)();
 }
 
 }  // namespace lmon::cluster

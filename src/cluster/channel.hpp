@@ -6,7 +6,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <utility>
 
 #include "cluster/message.hpp"
 #include "cluster/types.hpp"
@@ -39,6 +41,10 @@ class Channel : public std::enable_shared_from_this<Channel> {
   /// Closes the channel; the peer gets on_channel_closed after one latency.
   void close(Pid closer);
 
+  /// Runs `fn` when the channel closes, from either end, at the close()
+  /// call. One hook per channel; a later call replaces it.
+  void on_close(std::function<void()> fn) { on_close_ = std::move(fn); }
+
  private:
   friend class Machine;
 
@@ -55,6 +61,7 @@ class Channel : public std::enable_shared_from_this<Channel> {
   Machine& machine_;
   End a_, b_;
   bool open_ = true;
+  std::function<void()> on_close_;
 };
 
 using ChannelPtr = std::shared_ptr<Channel>;

@@ -28,8 +28,10 @@ void Machine::set_tracer(obs::Tracer* t) {
   for (const auto& node : nodes_) {
     tracer_->name_track(static_cast<int>(node->id()), node->hostname());
   }
-  for (const auto& [pid, proc] : pid_index_) {
+  for (std::size_t i = 0; i < pid_index_.size(); ++i) {
+    Process* proc = pid_index_[i];
     if (proc == nullptr) continue;
+    const Pid pid = kFirstPid + static_cast<Pid>(i);
     tracer_->name_lane(static_cast<int>(proc->node().id()), pid,
                        std::string(proc->program().name()) + "/" +
                            std::to_string(pid));
@@ -37,7 +39,10 @@ void Machine::set_tracer(obs::Tracer* t) {
 }
 
 void Machine::index_process(Pid pid, Process* p) {
-  pid_index_[pid] = p;
+  assert(pid >= kFirstPid);
+  const auto i = static_cast<std::size_t>(pid - kFirstPid);
+  if (i >= pid_index_.size()) pid_index_.resize(i + 1, nullptr);
+  pid_index_[i] = p;
   if (tracer_ != nullptr && p != nullptr) {
     tracer_->name_lane(static_cast<int>(p->node().id()), pid,
                        std::string(p->program().name()) + "/" +
@@ -51,8 +56,9 @@ Node* Machine::find_host(std::string_view hostname) {
 }
 
 Process* Machine::find_process(Pid pid) {
-  auto it = pid_index_.find(pid);
-  return it == pid_index_.end() ? nullptr : it->second;
+  if (pid < kFirstPid) return nullptr;
+  const auto i = static_cast<std::size_t>(pid - kFirstPid);
+  return i < pid_index_.size() ? pid_index_[i] : nullptr;
 }
 
 sim::Time Machine::jittered(sim::Time base) {

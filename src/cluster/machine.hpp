@@ -157,7 +157,6 @@ class Machine {
   // Bookkeeping used by Process/Node internals (defined in machine.cpp so
   // the tracer can label each new pid's export lane).
   void index_process(Pid pid, Process* p);
-  void deindex_process(Pid pid) { pid_index_.erase(pid); }
 
  private:
   sim::Simulator& sim_;
@@ -166,14 +165,16 @@ class Machine {
   sim::Rng jitter_rng_{0};
   std::vector<std::unique_ptr<Node>> nodes_;
   std::unordered_map<std::string, Node*> host_index_;
-  std::unordered_map<Pid, Process*> pid_index_;
+  /// Every process by pid - kFirstPid: pids are handed out in sequence.
+  std::vector<Process*> pid_index_;
   std::unordered_map<std::string, ProgramImage> programs_;
   sim::Timeline* timeline_ = nullptr;
   sim::CostLedger* ledger_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
   obs::Metrics* metrics_ = nullptr;
   obs::FlightRecorderHub* flight_ = nullptr;
-  Pid next_pid_ = 1000;
+  static constexpr Pid kFirstPid = 1000;
+  Pid next_pid_ = kFirstPid;
   Channel::Id next_channel_ = 1;
 };
 

@@ -5,7 +5,8 @@
 namespace lmon::comm {
 
 std::vector<std::string> bootstrap_args(const BootstrapSpec& spec,
-                                        std::optional<std::uint32_t> rank) {
+                                        std::optional<std::uint32_t> rank,
+                                        std::span<const std::string> hosts) {
   std::vector<std::string> args;
   if (rank) args.push_back("--lmon-rank=" + std::to_string(*rank));
   args.push_back("--lmon-size=" + std::to_string(spec.size));
@@ -34,7 +35,7 @@ std::vector<std::string> bootstrap_args(const BootstrapSpec& spec,
     args.push_back("--lmon-fe-host=" + spec.fe_host);
     args.push_back("--lmon-fe-port=" + std::to_string(spec.fe_port));
   }
-  args.push_back("--lmon-hosts=" + join_csv(spec.hosts));
+  args.push_back("--lmon-hosts=" + join_csv(hosts));
   return args;
 }
 

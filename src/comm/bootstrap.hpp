@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -73,11 +74,19 @@ struct BootstrapParams {
   std::uint32_t max_sessions = 0;    ///< virtual-session cap; 0 = default
 };
 
-/// Emits the "--lmon-*" argv for one daemon. Pass nullopt as `rank` for
-/// launchers that cannot vary the command line per daemon; the receiving
-/// side then resolves the rank from the host list.
+/// Emits the "--lmon-*" argv for one daemon, with `hosts` as the host list
+/// (spec.hosts is not read). Pass nullopt as `rank` for launchers that
+/// cannot vary the command line per daemon; the receiving side then
+/// resolves the rank from the host list.
 [[nodiscard]] std::vector<std::string> bootstrap_args(
-    const BootstrapSpec& spec, std::optional<std::uint32_t> rank);
+    const BootstrapSpec& spec, std::optional<std::uint32_t> rank,
+    std::span<const std::string> hosts);
+
+/// Same, with spec.hosts as the host list.
+[[nodiscard]] inline std::vector<std::string> bootstrap_args(
+    const BootstrapSpec& spec, std::optional<std::uint32_t> rank) {
+  return bootstrap_args(spec, rank, spec.hosts);
+}
 
 /// Parses a daemon argv. `self_host` backs the rank-from-host fallback when
 /// --lmon-rank is absent; pass the daemon's own hostname (or empty to

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -64,7 +65,7 @@ inline bool arg_flag(const std::vector<std::string>& args,
 }
 
 /// Joins strings into a comma-separated list (inverse of split_csv).
-inline std::string join_csv(const std::vector<std::string>& parts) {
+inline std::string join_csv(std::span<const std::string> parts) {
   std::string out;
   for (const auto& s : parts) {
     if (!out.empty()) out += ',';

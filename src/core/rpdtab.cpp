@@ -1,6 +1,7 @@
 #include "core/rpdtab.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <unordered_map>
 
 #include "rm/apai.hpp"
@@ -8,30 +9,40 @@
 
 namespace lmon::core {
 
-/// Appends entries to a table, extending the last run when it can and
+namespace {
+/// Distinct live tables unpack() remembers per thread. A session holds a
+/// few at once (its proctable and daemon table, another session's); the
+/// bound only caps the bytes kept for comparison.
+constexpr std::size_t kMaxCached = 4;
+thread_local std::uint64_t decode_count = 0;
+}  // namespace
+
+const Rpdtab::Body Rpdtab::kEmpty{};
+
+/// Appends entries to a body, extending the last run when it can and
 /// interning names through a lookup whose keys view the caller's storage,
 /// so adding an entry allocates nothing beyond amortized column growth and
 /// one lookup node per distinct name.
 class Rpdtab::Builder {
  public:
-  Builder(Rpdtab& t, std::size_t expected_entries) : t_(t) {
-    t_.pids_.reserve(expected_entries);
+  Builder(Body& b, std::size_t expected_entries) : b_(b) {
+    b_.pids.reserve(expected_entries);
   }
 
   /// `host` and `exe` must stay valid for the builder's lifetime.
   void add(std::string_view host, std::string_view exe, cluster::Pid pid,
            std::int32_t rank) {
-    t_.pids_.push_back(pid);
-    if (!t_.runs_.empty()) {
-      Run& last = t_.runs_.back();
+    b_.pids.push_back(pid);
+    if (!b_.runs.empty()) {
+      Run& last = b_.runs.back();
       if (static_cast<std::int64_t>(last.rank) + last.count == rank &&
-          t_.hosts_[last.host] == host && t_.exes_[last.exe] == exe) {
+          b_.hosts[last.host] == host && b_.exes[last.exe] == exe) {
         last.count += 1;
         return;
       }
     }
-    t_.runs_.push_back(Run{intern(host, t_.hosts_, host_ids_),
-                           intern(exe, t_.exes_, exe_ids_), rank, 1});
+    b_.runs.push_back(Run{intern(host, b_.hosts, host_ids_),
+                          intern(exe, b_.exes, exe_ids_), rank, 1});
   }
 
  private:
@@ -46,20 +57,23 @@ class Rpdtab::Builder {
     return it->second;
   }
 
-  Rpdtab& t_;
+  Body& b_;
   Ids host_ids_;
   Ids exe_ids_;
 };
 
 Rpdtab::Rpdtab(const std::vector<rm::TaskDesc>& entries) {
-  Builder b(*this, entries.size());
+  auto body = std::make_shared<Body>();
+  Builder b(*body, entries.size());
   for (const auto& e : entries) b.add(e.host, e.executable, e.pid, e.rank);
+  body_ = std::move(body);
 }
 
 void Rpdtab::append_run(const Run& run, std::size_t first_pid,
                         std::vector<rm::TaskDesc>& out) const {
+  const Body& b = body();
   for (std::uint32_t i = 0; i < run.count; ++i) {
-    out.push_back({hosts_[run.host], exes_[run.exe], pids_[first_pid + i],
+    out.push_back({b.hosts[run.host], b.exes[run.exe], b.pids[first_pid + i],
                    static_cast<std::int32_t>(run.rank + i)});
   }
 }
@@ -68,7 +82,7 @@ std::vector<rm::TaskDesc> Rpdtab::entries() const {
   std::vector<rm::TaskDesc> out;
   out.reserve(size());
   std::size_t pid = 0;
-  for (const Run& run : runs_) {
+  for (const Run& run : body().runs) {
     append_run(run, pid, out);
     pid += run.count;
   }
@@ -78,11 +92,12 @@ std::vector<rm::TaskDesc> Rpdtab::entries() const {
 std::vector<rm::TaskDesc> Rpdtab::entries_for_host(
     std::string_view host) const {
   std::vector<rm::TaskDesc> out;
-  const auto it = std::find(hosts_.begin(), hosts_.end(), host);
-  if (it == hosts_.end()) return out;
-  const auto id = static_cast<std::uint32_t>(it - hosts_.begin());
+  const Body& b = body();
+  const auto it = std::find(b.hosts.begin(), b.hosts.end(), host);
+  if (it == b.hosts.end()) return out;
+  const auto id = static_cast<std::uint32_t>(it - b.hosts.begin());
   std::size_t pid = 0;
-  for (const Run& run : runs_) {
+  for (const Run& run : b.runs) {
     if (run.host == id) append_run(run, pid, out);
     pid += run.count;
   }
@@ -93,14 +108,36 @@ Bytes Rpdtab::pack() const {
   return rm::apai::encode_proctable(entries());
 }
 
+bool operator==(const Rpdtab& a, const Rpdtab& b) {
+  return a.body_ == b.body_ || a.body() == b.body();
+}
+
+std::uint64_t Rpdtab::decodes() noexcept { return decode_count; }
+
 std::optional<Rpdtab> Rpdtab::unpack(std::span<const std::uint8_t> data) {
+  // Live bodies and the exact bytes each was decoded from. Entries hold no
+  // strong reference: a body lives as long as its last table.
+  struct Decoded {
+    Bytes bytes;
+    std::weak_ptr<const Body> body;
+  };
+  thread_local std::vector<Decoded> cache;
+  std::erase_if(cache, [](const Decoded& d) { return d.body.expired(); });
+  for (const Decoded& d : cache) {
+    if (d.bytes.size() == data.size() &&
+        std::memcmp(d.bytes.data(), data.data(), data.size()) == 0) {
+      return Rpdtab(d.body.lock());
+    }
+  }
+
+  decode_count += 1;
   ByteReader r(data);
   const auto count = r.u32();
   if (!count) return std::nullopt;
-  Rpdtab t;
+  auto body = std::make_shared<Body>();
   // The count is untrusted: reserve no more than the bytes can hold.
-  Builder b(t, std::min<std::size_t>(*count,
-                                     r.remaining() / rm::kTaskDescFixedBytes));
+  Builder b(*body, std::min<std::size_t>(
+                       *count, r.remaining() / rm::kTaskDescFixedBytes));
   for (std::uint32_t i = 0; i < *count; ++i) {
     // Names are viewed in place: reading an entry allocates nothing.
     const auto host = r.str_view();
@@ -110,7 +147,9 @@ std::optional<Rpdtab> Rpdtab::unpack(std::span<const std::uint8_t> data) {
     if (!host || !exe || !pid || !rank) return std::nullopt;
     b.add(*host, *exe, *pid, *rank);
   }
-  return t;
+  if (cache.size() == kMaxCached) cache.erase(cache.begin());
+  cache.push_back({Bytes(data.begin(), data.end()), body});
+  return Rpdtab(std::move(body));
 }
 
 }  // namespace lmon::core

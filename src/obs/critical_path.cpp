@@ -9,16 +9,25 @@ namespace lmon::obs {
 RegionBreakdown extract_regions(const sim::Timeline& marks,
                                 const sim::CostLedger& charges,
                                 const std::string& prefix) {
-  // This arithmetic is bench_fig3_launchspawn's, verbatim: the integration
-  // gate (trace_session_test) asserts exact equality against the bench's
-  // own Measurement, so keep the two in lock step.
+  // bench_fig3_launchspawn and bench_platforms print these regions; the
+  // integration gate (trace_session_test) checks them against the marks for
+  // every launch strategy.
   RegionBreakdown r;
   r.total = sim::to_seconds(marks.between("e0_fe_call", "e11_return"));
   r.t_job = sim::to_seconds(marks.between("t_job_begin", "t_job_end"));
   r.t_daemon =
       sim::to_seconds(marks.between("t_daemon_begin", "t_daemon_end"));
-  r.t_setup = sim::to_seconds(
-      marks.between(prefix + "e8_setup_begin", prefix + "e9_setup_done"));
+  // Wire-up runs e8..e9, but the master daemon that marks e8 can start
+  // long before the last daemon does (the rsh strategies launch it first):
+  // count only the wire-up after the daemon launch ends, so the two regions
+  // never overlap.
+  const std::string e8 = prefix + "e8_setup_begin";
+  const std::string e9 = prefix + "e9_setup_done";
+  if (marks.has(e8) && marks.has(e9)) {
+    // at() reads 0 for a missing t_daemon_end.
+    const sim::Time begin = std::max(marks.at(e8), marks.at("t_daemon_end"));
+    r.t_setup = sim::to_seconds(std::max<sim::Time>(0, marks.at(e9) - begin));
+  }
   r.t_collective = sim::to_seconds(marks.between(
       prefix + "t_collective_begin", prefix + "t_collective_end"));
   r.tracing = sim::to_seconds(charges.total("tracing"));
@@ -26,7 +35,7 @@ RegionBreakdown extract_regions(const sim::Timeline& marks,
   r.handshake = sim::to_seconds(
       marks.between(prefix + "e10_ready", "e11_return") +
       marks.between("e7_handshake_begin", prefix + "t_collective_begin") -
-      marks.between(prefix + "e8_setup_begin", prefix + "e9_setup_done"));
+      marks.between(e8, e9));
   if (r.handshake < 0) r.handshake = 0;
   r.other = sim::to_seconds(charges.total("other"));
   return r;

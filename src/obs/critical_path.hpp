@@ -5,10 +5,11 @@
 //   * extract_regions() reproduces the paper's §4 region decomposition
 //     (Fig. 3: T(job), T(daemon), T(setup), T(collective), tracing, RPDTAB
 //     fetch, handshake, other) from a Tracer's absorbed e0..e11 marks and
-//     cost charges. The arithmetic is *identical* to
-//     bench_fig3_launchspawn's, so the extractor's sums match the bench's
-//     measured columns exactly - model-vs-measured residuals become
-//     diagnosable per PerfModel term.
+//     cost charges. bench_fig3_launchspawn prints exactly these numbers, so
+//     model-vs-measured residuals become diagnosable per PerfModel term.
+//     Every launch strategy (RM bulk, serial rsh, tree rsh) marks its
+//     daemon launch, and the regions never overlap: their sum is at most
+//     the total.
 //   * critical_path() walks span parent links backward from the
 //     latest-ending span to its root, yielding the causal chain that
 //     bounded the run (e.g. session -> engine -> cospawn -> deepest
@@ -27,8 +28,8 @@ namespace lmon::obs {
 struct RegionBreakdown {
   double total = 0;        ///< e0_fe_call .. e11_return
   double t_job = 0;        ///< RM job launch
-  double t_daemon = 0;     ///< RM daemon bulk launch
-  double t_setup = 0;      ///< fabric wire-up (e8..e9)
+  double t_daemon = 0;     ///< daemon launch, whatever the strategy
+  double t_setup = 0;      ///< fabric wire-up after the launch (..e9)
   double t_collective = 0; ///< handshake collective (bcast + gather)
   double tracing = 0;      ///< RM debug-event handling (ledger)
   double rpdtab = 0;       ///< proctable fetch (ledger)

@@ -97,16 +97,14 @@ void NodeDaemon::on_channel_closed(cluster::Process& self,
   child_failed(self, key, "subtree node daemon connection lost");
 }
 
-std::vector<std::vector<AllocatedNode>> NodeDaemon::split_subtrees(
+std::vector<std::span<const AllocatedNode>> NodeDaemon::split_subtrees(
     const std::vector<AllocatedNode>& nodes, std::uint32_t fanout) {
-  std::vector<std::vector<AllocatedNode>> chunks;
+  std::vector<std::span<const AllocatedNode>> chunks;
   if (nodes.size() <= 1) return chunks;
   const auto splits = comm::split_contiguous(nodes.size() - 1, fanout);
   chunks.reserve(splits.size());
   for (const auto& [off, len] : splits) {
-    const std::size_t pos = 1 + off;
-    chunks.emplace_back(nodes.begin() + static_cast<std::ptrdiff_t>(pos),
-                        nodes.begin() + static_cast<std::ptrdiff_t>(pos + len));
+    chunks.push_back(std::span(nodes).subspan(1 + off, len));
   }
   return chunks;
 }
@@ -174,14 +172,13 @@ void NodeDaemon::handle_launch(cluster::Process& self,
       boot.session = req.fabric.session;
       boot.fe_host = req.fabric.fe_host;
       boot.fe_port = req.fabric.fe_port;
-      boot.hosts = req.all_hosts;
       boot.rndv_threshold = req.fabric.rndv_threshold;
       boot.platform = req.fabric.platform;
       boot.heal = req.fabric.heal;
       boot.heal_grace_ms = req.fabric.heal_grace_ms;
       boot.max_sessions = req.fabric.max_sessions;
-      opts.args = comm::bootstrap_args(boot,
-                                       static_cast<std::uint32_t>(rank));
+      opts.args = comm::bootstrap_args(
+          boot, static_cast<std::uint32_t>(rank), req.all_hosts);
     } else {
       opts.args.push_back("--rank=" + std::to_string(rank));
       opts.args.push_back(
@@ -240,28 +237,27 @@ void NodeDaemon::forward_subtrees(cluster::Process& self, Key key,
   assert(it != pending_.end());
   it->second.awaiting_children = static_cast<int>(chunks.size());
 
-  for (auto& chunk : chunks) {
-    TreeLaunchReq sub = req;
-    sub.nodes = std::move(chunk);
-    sub.seq = next_seq_++;
-    child_seq_to_key_[sub.seq] = key;
-    const std::string target = sub.nodes.front().host;
+  for (const auto chunk : chunks) {
+    const std::uint32_t seq = next_seq_++;
+    child_seq_to_key_[seq] = key;
+    const std::string& target = chunk.front().host;
     self.machine().count("rm.subtrees_forwarded");
     if (obs::Tracer* tracer = self.machine().tracer(); tracer != nullptr) {
       tracer->set_anchor("rmtree:" + req.fabric.session + ":" + target,
                          it->second.span);
     }
     self.connect(target, cluster::kRmNodeDaemonPort,
-                 [this, &self, key, sub = std::move(sub)](
-                     Status st, cluster::ChannelPtr child_ch) {
+                 [this, &self, key, seq,
+                  msg = req.encode_subtree(chunk, seq)](
+                     Status st, cluster::ChannelPtr child_ch) mutable {
                    if (!st.is_ok() || child_ch == nullptr) {
-                     child_seq_to_key_.erase(sub.seq);
+                     child_seq_to_key_.erase(seq);
                      child_failed(self, key,
                                   "connect to subtree failed: " + st.message());
                      return;
                    }
                    channel_to_key_[child_ch->id()] = key;
-                   self.send(child_ch, sub.encode());
+                   self.send(child_ch, std::move(msg));
                  });
   }
 }
@@ -301,9 +297,9 @@ void NodeDaemon::forward_kill_subtrees(cluster::Process& self, Key key,
   assert(it != pending_.end());
   it->second.awaiting_children = static_cast<int>(chunks.size());
 
-  for (auto& chunk : chunks) {
+  for (const auto chunk : chunks) {
     TreeKillReq sub = req;
-    sub.nodes = std::move(chunk);
+    sub.nodes.assign(chunk.begin(), chunk.end());
     sub.seq = next_seq_++;
     child_seq_to_key_[sub.seq] = key;
     const std::string target = sub.nodes.front().host;

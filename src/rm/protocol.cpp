@@ -178,17 +178,18 @@ std::optional<JobFreeReq> JobFreeReq::decode(const cluster::Message& m) {
 
 // --- TreeLaunchReq / Ack ------------------------------------------------------------
 
-cluster::Message TreeLaunchReq::encode() const {
+cluster::Message TreeLaunchReq::encode_subtree(
+    std::span<const AllocatedNode> subtree, std::uint32_t sub_seq) const {
   ByteWriter w = begin(MsgType::TreeLaunchReq);
   w.u64(jobid);
-  w.u32(seq);
+  w.u32(sub_seq);
   w.u8(static_cast<std::uint8_t>(mode));
   w.str(executable);
   w.u32(static_cast<std::uint32_t>(extra_args.size()));
   for (const auto& a : extra_args) w.str(a);
   w.u32(tasks_per_node);
-  w.u32(static_cast<std::uint32_t>(nodes.size()));
-  for (const auto& n : nodes) write_alloc_node(w, n);
+  w.u32(static_cast<std::uint32_t>(subtree.size()));
+  for (const auto& n : subtree) write_alloc_node(w, n);
   w.u32(static_cast<std::uint32_t>(all_hosts.size()));
   for (const auto& h : all_hosts) w.str(h);
   w.u16(fabric.port);

@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -126,7 +127,14 @@ struct TreeLaunchReq {
   std::vector<std::string> all_hosts;
   FabricSpec fabric;  ///< daemon mode only
 
-  [[nodiscard]] cluster::Message encode() const;
+  [[nodiscard]] cluster::Message encode() const {
+    return encode_subtree(nodes, seq);
+  }
+  /// The bytes encode() would give with `subtree` as `nodes` and `sub_seq`
+  /// as `seq`: how a node daemon forwards a chunk of its request without
+  /// copying the request.
+  [[nodiscard]] cluster::Message encode_subtree(
+      std::span<const AllocatedNode> subtree, std::uint32_t sub_seq) const;
   static std::optional<TreeLaunchReq> decode(const cluster::Message& m);
 };
 

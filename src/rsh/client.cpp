@@ -64,6 +64,10 @@ void RshSession::run(cluster::Process& self, const std::string& host,
                                 helper_pid, nullptr});
                   return;
                 }
+                // The helper lives as long as its session, whichever end
+                // closes it.
+                chan->on_close(
+                    [&self, helper_pid] { reap_helper(self, helper_pid); });
                 cb(RemoteExec{Status::ok(), resp->pid, helper_pid, chan});
               },
               [&self, cb, helper_pid](const cluster::ChannelPtr&) {

@@ -7,7 +7,7 @@
 // the paper), pays the connection/authentication cost, and asks the remote
 // rshd to spawn the command. The session channel stays open for the life of
 // the remote process; closing it (or the helper dying) kills the remote
-// command.
+// command, and the helper exits when the session closes from either end.
 #pragma once
 
 #include <functional>

@@ -211,6 +211,7 @@ std::map<cluster::Pid, std::shared_ptr<TreeCollector>>& collector_registry() {
 
 void TreeCollector::finish() {
   finished = true;
+  self.machine().mark("t_daemon_end");
   if (obs::Tracer* tracer = self.machine().tracer();
       tracer != nullptr && span != obs::kNoSpan) {
     tracer->end_span(span, outcome.status.is_ok()
@@ -249,6 +250,7 @@ void TreeRshLauncher::launch(cluster::Process& self,
   collector->expected = static_cast<int>(chunks.size());
   collector_registry()[self.pid()] = collector;
 
+  self.machine().mark("t_daemon_begin");
   if (obs::Tracer* tracer = self.machine().tracer(); tracer != nullptr) {
     const std::string session =
         arg_value(daemon_args, "--lmon-session=").value_or("");
@@ -493,6 +495,7 @@ void SerialRshStrategy::launch(cluster::Process& self, comm::LaunchRequest req,
     targets.push_back(LaunchTarget{req.bootstrap.hosts[r], req.daemon_exe,
                                    std::move(args)});
   }
+  self.machine().mark("t_daemon_begin");
   obs::SpanId span = obs::kNoSpan;
   if (obs::Tracer* tracer = self.machine().tracer(); tracer != nullptr) {
     span = tracer->begin_span(
@@ -510,6 +513,7 @@ void SerialRshStrategy::launch(cluster::Process& self, comm::LaunchRequest req,
       self, std::move(targets),
       [this, &self, span, req = std::move(req),
        cb = std::move(cb)](LaunchOutcome out) {
+        self.machine().mark("t_daemon_end");
         if (obs::Tracer* tracer = self.machine().tracer();
             tracer != nullptr && span != obs::kNoSpan) {
           tracer->end_span(

@@ -1,47 +1,37 @@
 #include "simkernel/event_queue.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace lmon::sim {
 
 EventId EventQueue::push(Time when, std::function<void()> fn) {
   const std::uint64_t seq = next_seq_++;
-  heap_.push(Entry{when, seq});
-  pending_.emplace(seq, std::move(fn));
+  heap_.push_back(Entry{when, seq, std::move(fn)});
+  std::push_heap(heap_.begin(), heap_.end(), later);
   return EventId{seq};
 }
 
-void EventQueue::cancel(EventId id) { pending_.erase(id.seq); }
-
-void EventQueue::skip_cancelled() const {
-  while (!heap_.empty() && pending_.find(heap_.top().seq) == pending_.end()) {
-    heap_.pop();
-  }
+void EventQueue::cancel(EventId id) {
+  const auto it = std::find_if(heap_.begin(), heap_.end(),
+                               [id](const Entry& e) { return e.seq == id.seq; });
+  if (it == heap_.end()) return;
+  *it = std::move(heap_.back());
+  heap_.pop_back();
+  std::make_heap(heap_.begin(), heap_.end(), later);
 }
-
-bool EventQueue::empty() const {
-  skip_cancelled();
-  return heap_.empty();
-}
-
-std::size_t EventQueue::size() const { return pending_.size(); }
 
 Time EventQueue::next_time() const {
-  skip_cancelled();
   assert(!heap_.empty());
-  return heap_.top().when;
+  return heap_.front().when;
 }
 
 std::pair<Time, std::function<void()>> EventQueue::pop() {
-  skip_cancelled();
   assert(!heap_.empty());
-  const Entry e = heap_.top();
-  heap_.pop();
-  auto it = pending_.find(e.seq);
-  assert(it != pending_.end());
-  std::function<void()> fn = std::move(it->second);
-  pending_.erase(it);
-  return {e.when, std::move(fn)};
+  std::pop_heap(heap_.begin(), heap_.end(), later);
+  Entry e = std::move(heap_.back());
+  heap_.pop_back();
+  return {e.when, std::move(e.fn)};
 }
 
 }  // namespace lmon::sim

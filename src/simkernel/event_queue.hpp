@@ -3,8 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -19,41 +17,39 @@ struct EventId {
 };
 
 /// Min-heap of timestamped callbacks with stable FIFO ordering for equal
-/// timestamps. Cancellation is lazy: cancelled ids are skipped at pop time,
-/// which keeps cancel O(1) and is safe because event ids are never reused.
+/// timestamps: events pop in (time, push order). Each heap entry holds its
+/// callback, so scheduling an event allocates nothing beyond the callback
+/// itself once the heap has grown.
 class EventQueue {
  public:
   EventId push(Time when, std::function<void()> fn);
 
-  /// Marks an event so it will be skipped when popped. Cancelling an already
-  /// fired or unknown event is a no-op.
+  /// Removes a pending event. Cancelling an already fired or unknown event
+  /// is a no-op. Linear in the pending events: the simulator itself never
+  /// cancels, so nothing indexes events by id.
   void cancel(EventId id);
 
-  [[nodiscard]] bool empty() const;
-  [[nodiscard]] std::size_t size() const;
+  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
+  [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
 
-  /// Timestamp of the next live event; only valid when !empty().
+  /// Timestamp of the next event; only valid when !empty().
   [[nodiscard]] Time next_time() const;
 
-  /// Removes and returns the next live event's callback, advancing past any
-  /// cancelled entries. Precondition: !empty().
+  /// Removes and returns the next event's callback. Precondition: !empty().
   std::pair<Time, std::function<void()>> pop();
 
  private:
   struct Entry {
     Time when;
     std::uint64_t seq;
-    // Heap entries hold an index into pending_ rather than the callback so
-    // that cancel() can drop the closure immediately.
-    bool operator>(const Entry& o) const {
-      return when != o.when ? when > o.when : seq > o.seq;
-    }
+    std::function<void()> fn;
   };
+  /// Heap order: `a` pops after `b`.
+  static bool later(const Entry& a, const Entry& b) {
+    return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+  }
 
-  void skip_cancelled() const;
-
-  mutable std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
-  mutable std::unordered_map<std::uint64_t, std::function<void()>> pending_;
+  std::vector<Entry> heap_;
   std::uint64_t next_seq_ = 1;
 };
 

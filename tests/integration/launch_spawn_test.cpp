@@ -1,6 +1,12 @@
 // End-to-end integration tests for launchAndSpawn / attachAndSpawn.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "core/be_api.hpp"
 #include "core/fe_api.hpp"
 #include "rm/resource_manager.hpp"
 #include "tests/test_util.hpp"
@@ -181,6 +187,77 @@ TEST(LaunchSpawn, SessionReusedIsRejected) {
   ASSERT_TRUE(tc.run_until([&] { return result.done && second_done; }));
   EXPECT_TRUE(result.status.is_ok()) << result.status.to_string();
   EXPECT_EQ(second_status.rc(), Rc::Ebusy);
+}
+
+/// A back end that registers its runtime with the test, so the test can
+/// read the table each daemon holds.
+class KeeperBe : public cluster::Program {
+ public:
+  explicit KeeperBe(std::vector<const core::BackEnd*>* daemons)
+      : daemons_(daemons) {}
+  [[nodiscard]] std::string_view name() const override { return "keeper_be"; }
+  void on_start(cluster::Process& self) override {
+    be_ = std::make_unique<core::BackEnd>(self);
+    core::BackEnd::Callbacks cbs;
+    cbs.on_init = [](const core::Rpdtab&, const Bytes&,
+                     std::function<void(Status)> done) { done(Status::ok()); };
+    if (be_->init(std::move(cbs)).is_ok()) daemons_->push_back(be_.get());
+  }
+
+ private:
+  std::vector<const core::BackEnd*>* daemons_;
+  std::unique_ptr<core::BackEnd> be_;
+};
+
+/// Launches nnodes x tpn with `strategy` and checks that every daemon's
+/// proctable() is a handle to one decoded body, equal to the FE's table.
+void expect_daemons_share_one_table(int nnodes, int tpn,
+                                    comm::LaunchStrategyKind strategy) {
+  TestCluster tc(nnodes);
+  std::vector<const core::BackEnd*> daemons;
+  cluster::ProgramImage image;
+  image.image_mb = tc.machine.costs().tool_daemon_image_mb;
+  image.factory = [&daemons](const std::vector<std::string>&) {
+    return std::make_unique<KeeperBe>(&daemons);
+  };
+  tc.machine.install_program("keeper_be", std::move(image));
+
+  bool done = false;
+  Status status;
+  std::shared_ptr<core::FrontEnd> fe;
+  int sid = -1;
+  tc.spawn_fe([&](cluster::Process& self) {
+    fe = std::make_shared<core::FrontEnd>(self);
+    ASSERT_TRUE(fe->init().is_ok());
+    sid = fe->create_session().value;
+    core::FrontEnd::SpawnConfig cfg;
+    cfg.daemon_exe = "keeper_be";
+    cfg.launch_strategy = strategy;
+    fe->launch_and_spawn(sid, rm::JobSpec{nnodes, tpn, "mpi_app", {}}, cfg,
+                         [&](Status st) {
+                           status = st;
+                           done = true;
+                         });
+  });
+  ASSERT_TRUE(tc.run_until([&] { return done; }, sim::seconds(600)));
+  ASSERT_TRUE(status.is_ok()) << status.to_string();
+  const core::Rpdtab* fe_table = fe->proctable(sid);
+  ASSERT_NE(fe_table, nullptr);
+  ASSERT_EQ(fe_table->size(), static_cast<std::size_t>(nnodes * tpn));
+  ASSERT_EQ(daemons.size(), static_cast<std::size_t>(nnodes));
+  const auto* body = &daemons.front()->proctable().hosts();
+  for (const core::BackEnd* d : daemons) {
+    EXPECT_EQ(&d->proctable().hosts(), body);
+    EXPECT_EQ(d->proctable(), *fe_table);
+  }
+}
+
+TEST(LaunchSpawn, RmBulkDaemonsShareOneDecodedTable) {
+  expect_daemons_share_one_table(64, 8, comm::LaunchStrategyKind::RmBulk);
+}
+
+TEST(LaunchSpawn, TreeRshDaemonsShareOneDecodedTable) {
+  expect_daemons_share_one_table(64, 2, comm::LaunchStrategyKind::TreeRsh);
 }
 
 }  // namespace

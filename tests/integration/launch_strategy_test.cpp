@@ -113,6 +113,88 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+// --- rsh client helpers -------------------------------------------------------
+//
+// Every rsh launch forks a local `rsh` client helper that lives as long as
+// its session. Teardown closes the sessions (the engine's, and each tree
+// agent's as it exits), so after a kill no helper may be left, and reaping
+// them must not move the simulated launch: the launch and kill times below
+// are the ones measured before helpers were reaped.
+
+struct RshTeardownParam {
+  comm::LaunchStrategyKind strategy;
+  sim::Time launch;
+  sim::Time kill;
+};
+
+class RshTeardownTest : public ::testing::TestWithParam<RshTeardownParam> {};
+
+TEST_P(RshTeardownTest, NoClientHelperOutlivesKill) {
+  const auto [strategy, want_launch, want_kill] = GetParam();
+  constexpr int kNodes = 64;
+  TestCluster tc(kNodes);
+  auto live_helpers = [&tc] {
+    int n = 0;
+    for (int i = 0; i < tc.machine.num_nodes(); ++i) {
+      for (cluster::Process* p : tc.machine.node(i).live_processes()) {
+        if (p->program().name() == "rsh") ++n;
+      }
+    }
+    return n;
+  };
+
+  bool done = false;
+  Status status;
+  int sid = -1;
+  sim::Time started = 0;
+  sim::Time launched = 0;
+  std::shared_ptr<core::FrontEnd> fe;
+  tc.spawn_fe([&](cluster::Process& self) {
+    fe = std::make_shared<core::FrontEnd>(self);
+    ASSERT_TRUE(fe->init().is_ok());
+    sid = fe->create_session().value;
+    core::FrontEnd::SpawnConfig cfg;
+    cfg.daemon_exe = "hello_be";
+    cfg.launch_strategy = strategy;
+    started = self.sim().now();
+    fe->launch_and_spawn(sid, rm::JobSpec{kNodes, 2, "mpi_app", {}}, cfg,
+                         [&](Status st) {
+                           status = st;
+                           done = true;
+                           launched = tc.simulator.now();
+                         });
+  });
+  ASSERT_TRUE(tc.run_until([&] { return done; }, sim::seconds(600)));
+  ASSERT_TRUE(status.is_ok()) << status.to_string();
+  EXPECT_EQ(launched - started, want_launch);
+  // One helper per rsh session, each alive while its session is.
+  EXPECT_EQ(live_helpers(), kNodes);
+
+  bool killed = false;
+  const sim::Time kill_started = tc.simulator.now();
+  sim::Time kill_done = 0;
+  fe->kill(sid, [&](Status) {
+    killed = true;
+    kill_done = tc.simulator.now();
+  });
+  ASSERT_TRUE(tc.run_until([&] { return killed; }));
+  EXPECT_EQ(kill_done - kill_started, want_kill);
+  tc.simulator.run(tc.simulator.now() + sim::seconds(2));
+  EXPECT_EQ(live_helpers(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RshStrategies, RshTeardownTest,
+    ::testing::Values(RshTeardownParam{kSerial, 15488389230, 50015886},
+                      RshTeardownParam{kTree, 2640746669, 50016569}),
+    [](const ::testing::TestParamInfo<RshTeardownParam>& pinfo) {
+      std::string name(comm::to_string(pinfo.param.strategy));
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
+
 // --- fault injection ---------------------------------------------------------
 //
 // Deterministic fault harness for the tree-rsh bootstrap: kill the

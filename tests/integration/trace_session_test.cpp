@@ -16,6 +16,7 @@
 // (tests/golden/trace_event.schema.txt), same regime as the bench reports.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -248,15 +249,17 @@ TEST(TraceSession, CriticalPathReproducesFig3Arithmetic) {
   const SessionRun run = run_session(16, /*traced=*/true);
   ASSERT_TRUE(run.ok);
 
-  // bench_fig3_launchspawn's Measurement arithmetic, verbatim.
+  // The region arithmetic over the marks, written out: wire-up counts from
+  // the later of the master's start and the end of the daemon launch.
   const sim::Timeline& tl = run.timeline;
   const sim::CostLedger& lg = run.ledger;
   const double total = sim::to_seconds(tl.between("e0_fe_call", "e11_return"));
   const double t_job = sim::to_seconds(tl.between("t_job_begin", "t_job_end"));
   const double t_daemon =
       sim::to_seconds(tl.between("t_daemon_begin", "t_daemon_end"));
-  const double t_setup =
-      sim::to_seconds(tl.between("be_e8_setup_begin", "be_e9_setup_done"));
+  const double t_setup = sim::to_seconds(
+      tl.at("be_e9_setup_done") -
+      std::max(tl.at("be_e8_setup_begin"), tl.at("t_daemon_end")));
   const double t_collective = sim::to_seconds(
       tl.between("be_t_collective_begin", "be_t_collective_end"));
   const double tracing = sim::to_seconds(lg.total("tracing"));
@@ -286,6 +289,36 @@ TEST(TraceSession, CriticalPathReproducesFig3Arithmetic) {
   }
   EXPECT_GT(total, 0.0);
   EXPECT_GT(t_daemon, 0.0);
+}
+
+TEST(TraceSession, RegionsPartitionTheLaunchForEveryStrategy) {
+  for (const comm::LaunchStrategyKind kind : comm::kAllLaunchStrategies) {
+    SCOPED_TRACE(comm::to_string(kind));
+    const SessionRun run = run_session(16, /*traced=*/true, kind);
+    ASSERT_TRUE(run.ok);
+    const obs::RegionBreakdown r = obs::extract_regions(*run.tracer);
+    const double regions = r.t_job + r.t_daemon + r.t_setup + r.t_collective +
+                           r.tracing + r.rpdtab + r.handshake + r.other;
+    const double unattributed = r.total - regions;
+    // No two regions overlap, so they never add up to more than the total,
+    // and the daemon launch is its own region whatever the strategy. What
+    // is left is the fixed FE/engine/allocation bookkeeping between the
+    // marked regions (22-44 ms here), with no launch or wire-up time in it.
+    EXPECT_GE(unattributed, 0.0);
+    EXPECT_LT(unattributed, 0.05);
+    EXPECT_GT(r.t_daemon, 0.0);
+    EXPECT_GT(r.t_setup, 0.0);
+    EXPECT_LT(r.t_setup, r.t_daemon);
+
+    // The marked daemon launch is the strategy's launcher span.
+    const obs::SpanRecord* launch = nullptr;
+    for (const char* name :
+         {"rm.daemon_launch", "rsh.serial_launch", "rsh.tree_launch"}) {
+      if (launch == nullptr) launch = run.tracer->find_span(name);
+    }
+    ASSERT_NE(launch, nullptr);
+    EXPECT_EQ(r.t_daemon, sim::to_seconds(launch->duration()));
+  }
 }
 
 TEST(TraceSession, TracingAddsZeroObservableCost) {

@@ -1,6 +1,10 @@
 // Unit tests for the RM control protocol encode/decode layer.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
+#include <string>
+
 #include "rm/protocol.hpp"
 #include "simkernel/rng.hpp"
 
@@ -72,6 +76,56 @@ TEST(RmProtocol, TreeLaunchReqRoundTrip) {
   EXPECT_EQ(back->fabric.topo_kind, comm::TopologyKind::Binomial);
   EXPECT_EQ(back->fabric.rndv_threshold, 524288u);
   EXPECT_EQ(back->fabric.platform, "thunder");
+}
+
+TEST(RmProtocol, TreeLaunchReqSubtreeEncodingMatchesCopyThenEncode) {
+  TreeLaunchReq req;
+  req.jobid = 12;
+  req.seq = 3;
+  req.mode = LaunchMode::Daemons;
+  req.executable = "hello_be";
+  req.extra_args = {"--x=1"};
+  req.tasks_per_node = 2;
+  for (std::uint32_t i = 0; i < 9; ++i) {
+    req.nodes.push_back({"n" + std::to_string(i), i});
+    req.all_hosts.push_back("n" + std::to_string(i));
+  }
+  req.fabric = FabricSpec{7100, 4, 9, "fe", 7050, "s1", comm::TopologyKind::KAry,
+                          0, "thunder", true, 25, 16};
+  EXPECT_EQ(req.encode().bytes, req.encode_subtree(req.nodes, req.seq).bytes);
+
+  // Pinned: the size and FNV-1a digest of nodes[3..7) forwarded as seq 101,
+  // as the copy-then-encode forwarding produced them.
+  const Bytes pinned =
+      req.encode_subtree(std::span(req.nodes).subspan(3, 4), 101).bytes;
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  for (std::uint8_t b : pinned) {
+    digest = (digest ^ b) * 0x100000001b3ULL;
+  }
+  EXPECT_EQ(pinned.size(), 197u);
+  EXPECT_EQ(digest, 0x3ef3b9981949c478ULL);
+
+  // Every chunk a node daemon forwards: the bytes (and so the simulated
+  // network charge) equal those of a copied request with the chunk as its
+  // node list and the child's seq.
+  const std::span<const AllocatedNode> all(req.nodes);
+  std::uint32_t seq = 100;
+  for (std::size_t off : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
+    for (std::size_t len = 1; off + len <= all.size(); len += 3) {
+      const auto chunk = all.subspan(off, len);
+      TreeLaunchReq copy = req;
+      copy.nodes.assign(chunk.begin(), chunk.end());
+      copy.seq = ++seq;
+      EXPECT_EQ(copy.encode().bytes, req.encode_subtree(chunk, seq).bytes)
+          << off << "+" << len;
+      auto back = TreeLaunchReq::decode(req.encode_subtree(chunk, seq));
+      ASSERT_TRUE(back.has_value());
+      EXPECT_EQ(back->seq, seq);
+      ASSERT_EQ(back->nodes.size(), len);
+      EXPECT_EQ(back->nodes.front().host, chunk.front().host);
+      EXPECT_EQ(back->all_hosts, req.all_hosts);
+    }
+  }
 }
 
 TEST(RmProtocol, TreeLaunchAckRoundTrip) {

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/machine.hpp"
@@ -256,6 +257,136 @@ TEST(RpdtabDecoder, SingleBitFlipsNeverCrash) {
       expect_nullopt_or_valid(flipped);
     }
   }
+}
+
+// --- shared decode: equal bytes, one body ----------------------------------
+
+/// A 16-host x 4-task block table, packed.
+std::vector<rm::TaskDesc> block_entries() {
+  std::vector<rm::TaskDesc> out;
+  for (int i = 0; i < 64; ++i) {
+    out.push_back({"node" + std::to_string(i / 4), "mpi_app", 5000 + i, i});
+  }
+  return out;
+}
+
+TEST(RpdtabSharedDecode, EqualBytesShareOneBody) {
+  const auto entries = block_entries();
+  const Bytes packed = Rpdtab(entries).pack();
+  const Bytes same = packed;  // equal bytes in a different buffer
+  const std::uint64_t before = Rpdtab::decodes();
+  const auto a = Rpdtab::unpack(packed);
+  const auto b = Rpdtab::unpack(same);
+  ASSERT_TRUE(a.has_value());
+  ASSERT_TRUE(b.has_value());
+  EXPECT_EQ(Rpdtab::decodes(), before + 1);
+  EXPECT_EQ(&a->hosts(), &b->hosts());
+  EXPECT_EQ(*a, Rpdtab(entries));
+  EXPECT_EQ(*b, Rpdtab(entries));
+  EXPECT_EQ(b->entries(), entries);
+  // A copy is another handle to the same body.
+  const Rpdtab c = *b;
+  EXPECT_EQ(&c.hosts(), &a->hosts());
+  EXPECT_EQ(c, *a);
+}
+
+TEST(RpdtabSharedDecode, BytesThatDifferDecodeTheirOwnTable) {
+  const auto entries = block_entries();
+  const Bytes packed = Rpdtab(entries).pack();
+  const auto live = Rpdtab::unpack(packed);  // cached while alive
+  ASSERT_TRUE(live.has_value());
+
+  // Each variant has the same size as `packed`. Swapped pids keep the
+  // multiset of bytes, so an order-insensitive checksum collides too.
+  std::vector<std::pair<const char*, std::vector<rm::TaskDesc>>> variants;
+  variants.push_back({"one pid", entries});
+  variants.back().second[17].pid += 1;
+  variants.push_back({"last rank", entries});
+  variants.back().second.back().rank += 1;
+  variants.push_back({"swapped pids", entries});
+  std::swap(variants.back().second[3].pid, variants.back().second[40].pid);
+  for (const auto& [name, want] : variants) {
+    SCOPED_TRACE(name);
+    const Bytes bytes = rm::apai::encode_proctable(want);
+    ASSERT_EQ(bytes.size(), packed.size());
+    const std::uint64_t before = Rpdtab::decodes();
+    const auto t = Rpdtab::unpack(bytes);
+    ASSERT_TRUE(t.has_value());
+    EXPECT_EQ(Rpdtab::decodes(), before + 1);
+    EXPECT_NE(&t->hosts(), &live->hosts());
+    EXPECT_EQ(t->entries(), want);
+    EXPECT_EQ(*t, Rpdtab(want));
+    EXPECT_NE(*t, *live);
+  }
+  EXPECT_EQ(live->entries(), entries);
+}
+
+TEST(RpdtabSharedDecode, MalformedInputNeverEntersTheCache) {
+  const Bytes packed = Rpdtab(block_entries()).pack();
+  const auto good = Rpdtab::unpack(packed);
+  ASSERT_TRUE(good.has_value());
+
+  for (std::size_t cut = 0; cut < packed.size(); ++cut) {
+    const Bytes prefix(packed.begin(),
+                       packed.begin() + static_cast<std::ptrdiff_t>(cut));
+    const std::uint64_t before = Rpdtab::decodes();
+    EXPECT_FALSE(Rpdtab::unpack(prefix).has_value()) << "cut at " << cut;
+    EXPECT_FALSE(Rpdtab::unpack(prefix).has_value()) << "cut at " << cut;
+    EXPECT_EQ(Rpdtab::decodes(), before + 2) << "cut at " << cut;
+  }
+  for (std::size_t byte = 0; byte < packed.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      Bytes flipped = packed;
+      flipped[byte] = static_cast<std::uint8_t>(flipped[byte] ^ (1u << bit));
+      SCOPED_TRACE(::testing::Message() << "byte " << byte << " bit " << bit);
+      expect_nullopt_or_valid(flipped);
+    }
+  }
+
+  const std::uint64_t before = Rpdtab::decodes();
+  const auto again = Rpdtab::unpack(packed);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(Rpdtab::decodes(), before);
+  EXPECT_EQ(&again->hosts(), &good->hosts());
+}
+
+TEST(RpdtabSharedDecode, DroppedTableDecodesFresh) {
+  const auto entries = block_entries();
+  const Bytes packed = Rpdtab(entries).pack();
+  {
+    const auto first = Rpdtab::unpack(packed);
+    ASSERT_TRUE(first.has_value());
+  }
+  const std::uint64_t before = Rpdtab::decodes();
+  const auto second = Rpdtab::unpack(packed);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(Rpdtab::decodes(), before + 1);
+  EXPECT_EQ(second->entries(), entries);
+}
+
+TEST(RpdtabSharedDecode, ManyLiveTablesEachDecodeCorrectly) {
+  std::vector<std::vector<rm::TaskDesc>> wants;
+  std::vector<Rpdtab> live;
+  for (int t = 0; t < 8; ++t) {
+    auto entries = block_entries();
+    entries.front().pid = t;
+    const auto table = Rpdtab::unpack(rm::apai::encode_proctable(entries));
+    ASSERT_TRUE(table.has_value());
+    wants.push_back(std::move(entries));
+    live.push_back(*table);
+  }
+  for (std::size_t t = 0; t < live.size(); ++t) {
+    EXPECT_EQ(live[t].entries(), wants[t]) << t;
+    const auto again = Rpdtab::unpack(rm::apai::encode_proctable(wants[t]));
+    ASSERT_TRUE(again.has_value());
+    EXPECT_EQ(*again, live[t]) << t;
+  }
+  // The newest table is still remembered.
+  const std::uint64_t before = Rpdtab::decodes();
+  const auto newest = Rpdtab::unpack(rm::apai::encode_proctable(wants.back()));
+  ASSERT_TRUE(newest.has_value());
+  EXPECT_EQ(Rpdtab::decodes(), before);
+  EXPECT_EQ(&newest->hosts(), &live.back().hosts());
 }
 
 TEST(Apai, PublishExposesMpirSymbols) {

@@ -51,6 +51,24 @@ TEST(EventQueue, CancelUnknownIsNoop) {
   EXPECT_FALSE(q.empty());
 }
 
+TEST(EventQueue, CancelAndPopKeepTimeThenPushOrder) {
+  EventQueue q;
+  std::vector<int> fired;
+  q.push(5, [&] { fired.push_back(1); });
+  const EventId done = q.push(1, [&] { fired.push_back(0); });
+  q.pop().second();
+  q.cancel(done);  // already fired: no-op
+  q.push(5, [&] { fired.push_back(2); });
+  const EventId dropped = q.push(3, [&] { fired.push_back(-1); });
+  q.push(5, [&] { fired.push_back(3); });
+  q.cancel(dropped);
+  q.push(4, [&] { fired.push_back(4); });
+  EXPECT_EQ(q.size(), 4u);
+  EXPECT_EQ(q.next_time(), 4);
+  while (!q.empty()) q.pop().second();
+  EXPECT_EQ(fired, (std::vector<int>{0, 4, 1, 2, 3}));
+}
+
 TEST(Simulator, TimeAdvancesMonotonically) {
   Simulator sim;
   std::vector<Time> times;
