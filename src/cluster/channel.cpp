@@ -77,17 +77,11 @@ void Channel::send(Pid self, Message msg) {
       });
 }
 
-void Channel::close(Pid closer) {
-  if (!open_) return;
-  open_ = false;
-
-  End& src = end_for(closer);
-  End& dst = other_end(closer);
+void Channel::notify_closed(const End& from, const End& to) {
   auto self_ptr = shared_from_this();
-  const Pid dst_pid = dst.pid;
-
+  const Pid dst_pid = to.pid;
   machine_.sim().schedule(
-      machine_.network().transfer_time(src.node, dst.node, 0),
+      machine_.network().transfer_time(from.node, to.node, 0),
       [self_ptr, dst_pid] {
         Process* peer = self_ptr->machine_.find_process(dst_pid);
         if (peer == nullptr || peer->state() == ProcState::Exited) return;
@@ -95,9 +89,23 @@ void Channel::close(Pid closer) {
         peer->deliver(
             [self_ptr, peer] { peer->dispatch_closed(self_ptr); });
       });
+}
 
+void Channel::close(Pid closer) {
+  if (!open_) return;
+  open_ = false;
+  notify_closed(end_for(closer), other_end(closer));
   Process* me = machine_.find_process(closer);
   if (me != nullptr) me->forget_channel(id_);
+  if (on_close_) std::exchange(on_close_, nullptr)();
+}
+
+void Channel::sever(Pid near) {
+  if (!open_) return;
+  open_ = false;
+  const End& relay_side = end_for(near);
+  notify_closed(relay_side, relay_side);
+  notify_closed(relay_side, other_end(near));
   if (on_close_) std::exchange(on_close_, nullptr)();
 }
 

@@ -41,8 +41,13 @@ class Channel : public std::enable_shared_from_this<Channel> {
   /// Closes the channel; the peer gets on_channel_closed after one latency.
   void close(Pid closer);
 
+  /// Closes the channel on behalf of a relay that owns neither end but
+  /// sits on `near`'s node (an rsh client helper): when the relay dies,
+  /// both ends get on_channel_closed, `near` after a local latency.
+  void sever(Pid near);
+
   /// Runs `fn` when the channel closes, from either end, at the close()
-  /// call. One hook per channel; a later call replaces it.
+  /// or sever() call. One hook per channel; a later call replaces it.
   void on_close(std::function<void()> fn) { on_close_ = std::move(fn); }
 
  private:
@@ -56,6 +61,8 @@ class Channel : public std::enable_shared_from_this<Channel> {
 
   End& end_for(Pid pid);
   End& other_end(Pid pid);
+  /// Delivers on_channel_closed to `to` one `from`->`to` latency from now.
+  void notify_closed(const End& from, const End& to);
 
   Id id_;
   Machine& machine_;

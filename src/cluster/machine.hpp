@@ -138,15 +138,19 @@ class Machine {
   void set_flight_recorder(obs::FlightRecorderHub* f) noexcept {
     flight_ = f;
   }
-  void count(const std::string& name, double delta = 1) {
-    if (metrics_ != nullptr) metrics_->add(name, delta);
+  /// Metric updates; no-ops (building no name) without a Metrics sink.
+  /// Callers that compose a name check metrics() first.
+  void count(std::string_view name, double delta = 1) {
+    if (metrics_ != nullptr) metrics_->add(std::string(name), delta);
   }
-  void observe(const std::string& name, double value) {
-    if (metrics_ != nullptr) metrics_->observe(name, value);
+  void observe(std::string_view name, double value) {
+    if (metrics_ != nullptr) metrics_->observe(std::string(name), value);
   }
-  void gauge(const std::string& name, double value) {
-    if (metrics_ != nullptr) metrics_->set_gauge(name, value);
+  void gauge(std::string_view name, double value) {
+    if (metrics_ != nullptr) metrics_->set_gauge(std::string(name), value);
   }
+  /// Appends to `pid`'s flight recorder. Callers that compose a message
+  /// on a per-message or per-session path check flight() first.
   void flight_record(Pid pid, std::string component, std::string message) {
     if (flight_ != nullptr) {
       flight_->record(pid, sim_.now(), std::move(component),

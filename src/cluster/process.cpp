@@ -26,6 +26,24 @@ Process::~Process() = default;
 
 sim::Simulator& Process::sim() noexcept { return machine_.sim(); }
 
+void Process::set_state(ProcState to) {
+  const ProcState from = state_;
+  state_ = to;
+  switch (to) {
+    case ProcState::Spawning:
+    case ProcState::Running:
+      stats_.state = 'R';
+      break;
+    case ProcState::Stopped:
+      stats_.state = 'T';
+      break;
+    case ProcState::Exited:
+      stats_.state = 'Z';
+      break;
+  }
+  if (from != to) program_->on_state_change(*this, from);
+}
+
 void Process::post(sim::Time delay, std::function<void()> fn) {
   if (state_ == ProcState::Exited) return;
   Machine& m = machine_;
@@ -163,8 +181,7 @@ void Process::exit(int code) {
   if (state_ == ProcState::Exited) return;
   sim::LogLine(sim::LogLevel::Debug, sim().now(), program_->name())
       << "pid " << pid_ << " exit(" << code << ")";
-  state_ = ProcState::Exited;
-  stats_.state = 'Z';
+  set_state(ProcState::Exited);
   deferred_.clear();
   pending_resume_ = nullptr;
   handlers_.clear();
@@ -213,8 +230,7 @@ void Process::breakpoint(const std::string& symbol,
   }
   sim::LogLine(sim::LogLevel::Debug, sim().now(), program_->name())
       << "pid " << pid_ << " stopped at " << symbol;
-  state_ = ProcState::Stopped;
-  stats_.state = 'T';
+  set_state(ProcState::Stopped);
   pending_resume_ = std::move(resume);
   tracer_->emit(DebugEvent{DebugEventType::Stopped, pid_, symbol, 0});
 }
@@ -239,7 +255,6 @@ Result<TraceSession*> Process::trace_attach(Pid target,
     Process* tt = m.find_process(target);
     if (tt == nullptr || tt->state() == ProcState::Exited) return;
     tt->set_state(ProcState::Stopped);
-    tt->stats_.state = 'T';
     sp->emit(DebugEvent{DebugEventType::Attached, target, "", 0});
   });
   return {Status::ok(), sp};
@@ -267,8 +282,7 @@ void Process::attach_tracer(TraceSession* session) { tracer_ = session; }
 void Process::detach_tracer() {
   tracer_ = nullptr;
   if (state_ == ProcState::Stopped) {
-    state_ = ProcState::Running;
-    stats_.state = 'R';
+    set_state(ProcState::Running);
     std::function<void()> resume = std::move(pending_resume_);
     pending_resume_ = nullptr;
     flush_deferred();

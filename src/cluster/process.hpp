@@ -95,6 +95,18 @@ class Program {
     (void)child;
     (void)exit_code;
   }
+
+  /// The process moved from `from` to self.state() (Running, Stopped or
+  /// Exited) at the current simulated time. Programs that keep state as a
+  /// closed form of time hook their clock's pauses and its end here.
+  virtual void on_state_change(Process& self, ProcState from) {
+    (void)self;
+    (void)from;
+  }
+
+  /// Someone is about to read self.stats(): bring lazily kept /proc state
+  /// up to the current simulated time.
+  virtual void sync_stats(Process& self) { (void)self; }
 };
 
 /// Parameters for spawning a process.
@@ -138,8 +150,11 @@ class Process {
     return options_.args;
   }
   [[nodiscard]] Program& program() noexcept { return *program_; }
-  [[nodiscard]] ProcStats& stats() noexcept { return stats_; }
-  [[nodiscard]] const ProcStats& stats() const noexcept { return stats_; }
+  /// /proc-style statistics as of now (the program catches them up first).
+  [[nodiscard]] ProcStats& stats() {
+    program_->sync_stats(*this);
+    return stats_;
+  }
   [[nodiscard]] SymbolSpace& symbols() noexcept { return symbols_; }
   [[nodiscard]] const SymbolSpace& symbols() const noexcept {
     return symbols_;
@@ -230,7 +245,9 @@ class Process {
   friend class Channel;
   friend class TraceSession;
 
-  void set_state(ProcState s) noexcept { state_ = s; }
+  /// Every lifecycle transition goes through here: sets the state and
+  /// /proc's state letter together, then tells the program.
+  void set_state(ProcState to);
   void reap_pdeath_children();
   void deliver(std::function<void()> fn);  // respects Stopped/Exited
   void flush_deferred();

@@ -111,7 +111,6 @@ void TraceSession::continue_target() {
   Process* t = live_target();
   if (t == nullptr || t->state() != ProcState::Stopped) return;
   t->set_state(ProcState::Running);
-  t->stats_.state = 'R';
   std::function<void()> resume = std::move(t->pending_resume_);
   t->pending_resume_ = nullptr;
   t->flush_deferred();
@@ -132,8 +131,8 @@ void TraceSession::kill_target() {
   handler_ = nullptr;
   if (t == nullptr) return;
   if (t->tracer_ == this) t->tracer_ = nullptr;
-  // SIGKILL: the target dies regardless of stopped state.
-  t->set_state(ProcState::Running);  // allow exit() to proceed
+  // SIGKILL: the target dies regardless of stopped state; a stopped
+  // target never resumes, so nothing deferred runs.
   t->exit(9);
 }
 

@@ -4,9 +4,11 @@
 
 namespace lmon::comm {
 
-std::vector<std::string> bootstrap_args(const BootstrapSpec& spec,
-                                        std::optional<std::uint32_t> rank,
-                                        std::span<const std::string> hosts) {
+namespace {
+
+std::vector<std::string> args_with_hosts(const BootstrapSpec& spec,
+                                         std::optional<std::uint32_t> rank,
+                                         std::string_view hosts_csv) {
   std::vector<std::string> args;
   if (rank) args.push_back("--lmon-rank=" + std::to_string(*rank));
   args.push_back("--lmon-size=" + std::to_string(spec.size));
@@ -35,8 +37,21 @@ std::vector<std::string> bootstrap_args(const BootstrapSpec& spec,
     args.push_back("--lmon-fe-host=" + spec.fe_host);
     args.push_back("--lmon-fe-port=" + std::to_string(spec.fe_port));
   }
-  args.push_back("--lmon-hosts=" + join_csv(hosts));
+  args.push_back("--lmon-hosts=" + std::string(hosts_csv));
   return args;
+}
+
+}  // namespace
+
+std::vector<std::string> bootstrap_args(const BootstrapSpec& spec,
+                                        std::optional<std::uint32_t> rank) {
+  return args_with_hosts(spec, rank, join_csv(spec.hosts));
+}
+
+std::vector<std::string> bootstrap_args(const BootstrapSpec& spec,
+                                        std::optional<std::uint32_t> rank,
+                                        const HostList& hosts) {
+  return args_with_hosts(spec, rank, hosts.csv());
 }
 
 std::optional<BootstrapParams> parse_bootstrap(
@@ -44,11 +59,11 @@ std::optional<BootstrapParams> parse_bootstrap(
   BootstrapParams p;
   const auto size = arg_int(args, "--lmon-size=");
   const auto port = arg_int(args, "--lmon-port=");
-  const auto hosts = arg_value(args, "--lmon-hosts=");
+  const auto hosts = arg_view(args, "--lmon-hosts=");
   if (!size || !port || !hosts) return std::nullopt;
   p.size = static_cast<std::uint32_t>(*size);
   p.port = static_cast<cluster::Port>(*port);
-  p.hosts = split_csv(*hosts);
+  p.hosts = HostList::from_csv(*hosts);
   p.session = arg_value(args, "--lmon-session=").value_or("s0");
   p.fe_host = arg_value(args, "--lmon-fe-host=").value_or("");
   p.fe_port = static_cast<cluster::Port>(
@@ -81,15 +96,9 @@ std::optional<BootstrapParams> parse_bootstrap(
     // Broadcast-style launch: every daemon got the same argv; recover the
     // rank from this host's position in the rank-ordered host list.
     if (self_host.empty()) return std::nullopt;
-    std::size_t index = p.hosts.size();
-    for (std::size_t i = 0; i < p.hosts.size(); ++i) {
-      if (p.hosts[i] == self_host) {
-        index = i;
-        break;
-      }
-    }
-    if (index == p.hosts.size()) return std::nullopt;
-    p.rank = static_cast<std::uint32_t>(index);
+    const auto index = p.hosts.index_of(self_host);
+    if (!index) return std::nullopt;
+    p.rank = static_cast<std::uint32_t>(*index);
   }
 
   if (p.size == 0 || p.rank >= p.size) return std::nullopt;

@@ -16,12 +16,12 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "cluster/types.hpp"
+#include "comm/host_list.hpp"
 #include "comm/topology.hpp"
 
 namespace lmon::comm {
@@ -66,7 +66,8 @@ struct BootstrapParams {
   std::string session;
   std::string fe_host;
   cluster::Port fe_port = 0;
-  std::vector<std::string> hosts;
+  /// Daemon hosts in rank order; every daemon of a launch shares one body.
+  HostList hosts;
   std::uint32_t rndv_threshold = 0;  ///< 0 = platform default
   std::string platform;              ///< profile name; empty = machine costs
   bool heal = false;                 ///< self-healing tree recovery enabled
@@ -74,25 +75,25 @@ struct BootstrapParams {
   std::uint32_t max_sessions = 0;    ///< virtual-session cap; 0 = default
 };
 
-/// Emits the "--lmon-*" argv for one daemon, with `hosts` as the host list
-/// (spec.hosts is not read). Pass nullopt as `rank` for launchers that
-/// cannot vary the command line per daemon; the receiving side then
-/// resolves the rank from the host list.
+/// Emits the "--lmon-*" argv for one daemon, with spec.hosts as the host
+/// list. Pass nullopt as `rank` for launchers that cannot vary the command
+/// line per daemon; the receiving side then resolves the rank from the host
+/// list.
+[[nodiscard]] std::vector<std::string> bootstrap_args(
+    const BootstrapSpec& spec, std::optional<std::uint32_t> rank);
+
+/// Same, with `hosts` as the host list (spec.hosts is not read): node
+/// daemons pass their launch's shared list, whose argv form is joined once.
 [[nodiscard]] std::vector<std::string> bootstrap_args(
     const BootstrapSpec& spec, std::optional<std::uint32_t> rank,
-    std::span<const std::string> hosts);
-
-/// Same, with spec.hosts as the host list.
-[[nodiscard]] inline std::vector<std::string> bootstrap_args(
-    const BootstrapSpec& spec, std::optional<std::uint32_t> rank) {
-  return bootstrap_args(spec, rank, spec.hosts);
-}
+    const HostList& hosts);
 
 /// Parses a daemon argv. `self_host` backs the rank-from-host fallback when
 /// --lmon-rank is absent; pass the daemon's own hostname (or empty to
-/// require an explicit rank). Returns nullopt when required parameters are
-/// missing or inconsistent - which is what a daemon started outside
-/// LaunchMON sees.
+/// require an explicit rank). The host list comes from HostList::from_csv,
+/// so the daemons of one launch share it. Returns nullopt when required
+/// parameters are missing or inconsistent - which is what a daemon started
+/// outside LaunchMON sees.
 [[nodiscard]] std::optional<BootstrapParams> parse_bootstrap(
     const std::vector<std::string>& args, std::string_view self_host = {});
 

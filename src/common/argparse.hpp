@@ -14,18 +14,26 @@
 
 namespace lmon {
 
-/// Returns the value of "--key=value" for key "--key=", or nullopt. A bare
-/// "--key=" counts as absent (callers treat empty as unset); repeatable
-/// pass-through options keep empty values via arg_list below.
-inline std::optional<std::string> arg_value(
+/// Returns a view of the value of "--key=value" for key "--key=", or
+/// nullopt. A bare "--key=" counts as absent (callers treat empty as unset);
+/// repeatable pass-through options keep empty values via arg_list below.
+inline std::optional<std::string_view> arg_view(
     const std::vector<std::string>& args, std::string_view key_eq) {
   for (const auto& a : args) {
     if (a.size() > key_eq.size() &&
         std::string_view(a).substr(0, key_eq.size()) == key_eq) {
-      return a.substr(key_eq.size());
+      return std::string_view(a).substr(key_eq.size());
     }
   }
   return std::nullopt;
+}
+
+/// arg_view's value as a string.
+inline std::optional<std::string> arg_value(
+    const std::vector<std::string>& args, std::string_view key_eq) {
+  const auto v = arg_view(args, key_eq);
+  if (!v) return std::nullopt;
+  return std::string(*v);
 }
 
 inline std::optional<std::int64_t> arg_int(

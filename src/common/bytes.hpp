@@ -142,6 +142,10 @@ class ByteReader {
     return data_.size() - pos_;
   }
   [[nodiscard]] bool exhausted() const noexcept { return remaining() == 0; }
+  /// The bytes not read yet.
+  [[nodiscard]] std::span<const std::uint8_t> rest() const noexcept {
+    return data_.subspan(pos_);
+  }
 
  private:
   template <typename T>

@@ -51,9 +51,10 @@ Status DaemonRuntime::init(Callbacks callbacks) {
     tracer->set_anchor(
         "daemon:" + session + ":" + std::to_string(iccl_->rank()), span_);
   }
-  self_.machine().flight_record(
-      self_.pid(), "daemon",
-      "init rank=" + std::to_string(iccl_->rank()));
+  if (self_.machine().flight() != nullptr) {
+    self_.machine().flight_record(
+        self_.pid(), "daemon", "init rank=" + std::to_string(iccl_->rank()));
+  }
 
   // The master's handshake with the FE begins immediately (paper e7) while
   // the fabric wires underneath (e8..e9).
@@ -369,9 +370,11 @@ void DaemonRuntime::handle_virtual_attach(std::uint32_t vsid) {
   // the FE surfaces it as a Status, never a hang.
   if (sessions_.size() - 1 >= max_virtual_sessions()) {
     self_.machine().count("daemon.vattach_rejected");
-    self_.machine().flight_record(
-        self_.pid(), "daemon",
-        "vattach " + std::to_string(vsid) + " rejected: session table full");
+    if (self_.machine().flight() != nullptr) {
+      self_.machine().flight_record(
+          self_.pid(), "daemon",
+          "vattach " + std::to_string(vsid) + " rejected: session table full");
+    }
     send_virtual_ready(vsid, false, "virtual session table full", 0);
     return;
   }
@@ -397,9 +400,10 @@ void DaemonRuntime::vsession_open(std::uint32_t vsid) {
   };
   iccl_->bind_session(vsid, std::move(handlers));
   self_.machine().count("daemon.vsessions_opened");
-  self_.machine().flight_record(self_.pid(), "daemon",
-                                "vsession " + std::to_string(vsid) +
-                                    " attached");
+  if (self_.machine().flight() != nullptr) {
+    self_.machine().flight_record(
+        self_.pid(), "daemon", "vsession " + std::to_string(vsid) + " attached");
+  }
   if (cbs_.on_vsession_attach) cbs_.on_vsession_attach(vsid);
   // Attach ack rides the new session's own namespace; the master answers
   // the FE once every daemon's ack arrived.
@@ -412,9 +416,10 @@ void DaemonRuntime::vsession_close(std::uint32_t vsid) {
   iccl_->unbind_session(vsid);
   sessions_.erase(it);
   self_.machine().count("daemon.vsessions_closed");
-  self_.machine().flight_record(self_.pid(), "daemon",
-                                "vsession " + std::to_string(vsid) +
-                                    " detached");
+  if (self_.machine().flight() != nullptr) {
+    self_.machine().flight_record(
+        self_.pid(), "daemon", "vsession " + std::to_string(vsid) + " detached");
+  }
   if (cbs_.on_vsession_detach) cbs_.on_vsession_detach(vsid);
 }
 

@@ -1090,10 +1090,12 @@ void Iccl::gather_drop_origin(StreamKey tag, GatherState& st,
                               std::uint32_t origin) {
   if (!st.dropped.insert(origin).second) return;
   count_mux(tag, "gather_drops");
-  self_.machine().flight_record(self_.pid(), "iccl",
-                                "gather tag " + tag.str() +
-                                    " dropped origin " +
-                                    std::to_string(origin));
+  if (self_.machine().flight() != nullptr) {
+    self_.machine().flight_record(self_.pid(), "iccl",
+                                  "gather tag " + tag.str() +
+                                      " dropped origin " +
+                                      std::to_string(origin));
+  }
   if (is_root()) {
     st.assembling.erase(origin);
     return;
@@ -1777,6 +1779,7 @@ void Iccl::deliver_scatter(StreamKey tag, const Bytes& data) {
 }
 
 void Iccl::count_mux(StreamKey tag, const char* name, double v) {
+  if (self_.machine().metrics() == nullptr) return;
   self_.machine().count(std::string("iccl.") + name, v);
   if (tag.session != 0) {
     self_.machine().count(

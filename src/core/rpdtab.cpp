@@ -1,19 +1,15 @@
 #include "core/rpdtab.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <unordered_map>
 
+#include "common/shared_decode.hpp"
 #include "rm/apai.hpp"
 #include "rm/protocol.hpp"
 
 namespace lmon::core {
 
 namespace {
-/// Distinct live tables unpack() remembers per thread. A session holds a
-/// few at once (its proctable and daemon table, another session's); the
-/// bound only caps the bytes kept for comparison.
-constexpr std::size_t kMaxCached = 4;
 thread_local std::uint64_t decode_count = 0;
 }  // namespace
 
@@ -115,20 +111,11 @@ bool operator==(const Rpdtab& a, const Rpdtab& b) {
 std::uint64_t Rpdtab::decodes() noexcept { return decode_count; }
 
 std::optional<Rpdtab> Rpdtab::unpack(std::span<const std::uint8_t> data) {
-  // Live bodies and the exact bytes each was decoded from. Entries hold no
-  // strong reference: a body lives as long as its last table.
-  struct Decoded {
-    Bytes bytes;
-    std::weak_ptr<const Body> body;
-  };
-  thread_local std::vector<Decoded> cache;
-  std::erase_if(cache, [](const Decoded& d) { return d.body.expired(); });
-  for (const Decoded& d : cache) {
-    if (d.bytes.size() == data.size() &&
-        std::memcmp(d.bytes.data(), data.data(), data.size()) == 0) {
-      return Rpdtab(d.body.lock());
-    }
-  }
+  // Distinct live tables remembered per thread. A session holds a few at
+  // once (its proctable and daemon table, another session's); the bound
+  // only caps the bytes kept for comparison.
+  thread_local SharedDecodes<Body> cache(4);
+  if (auto body = cache.find(data)) return Rpdtab(std::move(body));
 
   decode_count += 1;
   ByteReader r(data);
@@ -147,9 +134,9 @@ std::optional<Rpdtab> Rpdtab::unpack(std::span<const std::uint8_t> data) {
     if (!host || !exe || !pid || !rank) return std::nullopt;
     b.add(*host, *exe, *pid, *rank);
   }
-  if (cache.size() == kMaxCached) cache.erase(cache.begin());
-  cache.push_back({Bytes(data.begin(), data.end()), body});
-  return Rpdtab(std::move(body));
+  std::shared_ptr<const Body> shared = std::move(body);
+  cache.remember(data, shared);
+  return Rpdtab(std::move(shared));
 }
 
 }  // namespace lmon::core

@@ -244,8 +244,10 @@ void Launcher::send_tree_launch(cluster::Process& self) {
   req.extra_args = extra_args_;
   req.tasks_per_node = tpn_;
   req.nodes = allocation_;
-  req.all_hosts.reserve(allocation_.size());
-  for (const auto& n : allocation_) req.all_hosts.push_back(n.host);
+  std::vector<std::string> hosts;
+  hosts.reserve(allocation_.size());
+  for (const auto& n : allocation_) hosts.push_back(n.host);
+  req.all_hosts = std::move(hosts);
   req.fabric = fabric_;
   if (req.fabric.fanout == 0) req.fabric.fanout = launch_fanout_;
   if (mode_ == Mode::Job) req.fabric.fanout = launch_fanout_;

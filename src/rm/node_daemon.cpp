@@ -116,6 +116,7 @@ void NodeDaemon::handle_launch(cluster::Process& self,
   Pending& p = pending_[key];
   p.reply_seq = req.seq;
   p.reply_to = ch;
+  p.hosts = req.all_hosts;
 
   const cluster::CostModel& costs = self.machine().costs();
   cluster::Machine& machine = self.machine();

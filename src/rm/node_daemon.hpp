@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "cluster/process.hpp"
+#include "comm/host_list.hpp"
 #include "obs/trace.hpp"
 #include "rm/protocol.hpp"
 
@@ -50,6 +51,9 @@ class NodeDaemon : public cluster::Program {
     std::set<cluster::Channel::Id> child_channels;
     bool done = false;
     obs::SpanId span = obs::kNoSpan;         ///< per-level tree-launch span
+    /// The launch's host list, held until this subtree is done so that the
+    /// node daemons and daemons below share this decode of it.
+    comm::HostList hosts;
   };
 
   void handle_launch(cluster::Process& self, const cluster::ChannelPtr& ch,

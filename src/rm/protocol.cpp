@@ -190,8 +190,7 @@ cluster::Message TreeLaunchReq::encode_subtree(
   w.u32(tasks_per_node);
   w.u32(static_cast<std::uint32_t>(subtree.size()));
   for (const auto& n : subtree) write_alloc_node(w, n);
-  w.u32(static_cast<std::uint32_t>(all_hosts.size()));
-  for (const auto& h : all_hosts) w.str(h);
+  all_hosts.write(w);
   w.u16(fabric.port);
   w.u32(fabric.fanout);
   w.u32(fabric.total);
@@ -236,13 +235,9 @@ std::optional<TreeLaunchReq> TreeLaunchReq::decode(const cluster::Message& m) {
     if (!n) return std::nullopt;
     out.nodes.push_back(std::move(*n));
   }
-  auto nhosts = r->u32();
-  if (!nhosts) return std::nullopt;
-  for (std::uint32_t i = 0; i < *nhosts; ++i) {
-    auto h = r->str();
-    if (!h) return std::nullopt;
-    out.all_hosts.push_back(std::move(*h));
-  }
+  auto hosts = comm::HostList::read(*r);
+  if (!hosts) return std::nullopt;
+  out.all_hosts = std::move(*hosts);
   auto fport = r->u16();
   auto ffan = r->u32();
   auto ftotal = r->u32();

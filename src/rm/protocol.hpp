@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "cluster/message.hpp"
+#include "comm/host_list.hpp"
 #include "comm/topology.hpp"
 #include "common/bytes.hpp"
 #include "rm/types.hpp"
@@ -122,9 +123,10 @@ struct TreeLaunchReq {
   /// Subtree of allocated nodes this request covers; entry 0 is handled
   /// locally by the receiving node daemon, the rest are fanned out.
   std::vector<AllocatedNode> nodes;
-  /// Full allocation host list in index order (daemon mode only; daemons
-  /// need it to locate their fabric parent).
-  std::vector<std::string> all_hosts;
+  /// Full allocation host list in index order. Daemons need it to locate
+  /// their fabric parent; tasks only its length (the job size). Every node
+  /// daemon of a launch receives equal bytes, so they share one decode.
+  comm::HostList all_hosts;
   FabricSpec fabric;  ///< daemon mode only
 
   [[nodiscard]] cluster::Message encode() const {

@@ -64,8 +64,22 @@ void RshSession::run(cluster::Process& self, const std::string& host,
                                 helper_pid, nullptr});
                   return;
                 }
-                // The helper lives as long as its session, whichever end
-                // closes it.
+                cluster::Process* helper =
+                    self.machine().find_process(helper_pid);
+                if (helper == nullptr ||
+                    helper->state() == cluster::ProcState::Exited) {
+                  // The client died during the handshake: hang up, which
+                  // makes rshd kill the command it just started.
+                  self.close_channel(const_cast<cluster::ChannelPtr&>(chan));
+                  cb(RemoteExec{Status(Rc::Esubcom, "rsh client exited"),
+                                cluster::kInvalidPid, helper_pid, nullptr});
+                  return;
+                }
+                // The helper and the session live and die together:
+                // whichever end closes the session reaps the helper, and
+                // the helper's death closes the session.
+                static_cast<RshHelper&>(helper->program())
+                    .relay(chan, self.pid());
                 chan->on_close(
                     [&self, helper_pid] { reap_helper(self, helper_pid); });
                 cb(RemoteExec{Status::ok(), resp->pid, helper_pid, chan});
@@ -78,6 +92,21 @@ void RshSession::run(cluster::Process& self, const std::string& host,
           self.send(ch, req.encode());
         });
   });
+}
+
+void RshHelper::relay(const cluster::ChannelPtr& session,
+                      cluster::Pid caller) {
+  session_ = session;
+  caller_ = caller;
+}
+
+void RshHelper::on_state_change(cluster::Process& self,
+                                cluster::ProcState from) {
+  (void)from;
+  if (self.state() != cluster::ProcState::Exited) return;
+  if (auto session = session_.lock(); session != nullptr) {
+    session->sever(caller_);
+  }
 }
 
 void RshSession::reap_helper(cluster::Process& self, cluster::Pid helper) {

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -19,12 +20,23 @@
 
 namespace lmon::rsh {
 
-/// Inert stand-in for the rsh client binary: exists only to occupy a process
-/// slot and keep the session alive, like the real blocking `rsh` child.
+/// Stand-in for the rsh client binary: occupies a process slot, like the
+/// real blocking `rsh` child, and relays its session. If it dies first, the
+/// session closes at both ends, so rshd kills the remote command.
 class RshHelper : public cluster::Program {
  public:
   [[nodiscard]] std::string_view name() const override { return "rsh"; }
   void on_start(cluster::Process& self) override { (void)self; }
+  void on_state_change(cluster::Process& self,
+                       cluster::ProcState from) override;
+
+  /// Ties `session` (between `caller` and the remote rshd) to this
+  /// helper's life.
+  void relay(const cluster::ChannelPtr& session, cluster::Pid caller);
+
+ private:
+  std::weak_ptr<cluster::Channel> session_;
+  cluster::Pid caller_ = cluster::kInvalidPid;
 };
 
 struct RemoteExec {

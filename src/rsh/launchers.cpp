@@ -455,14 +455,10 @@ comm::LaunchResult outcome_to_result(const comm::LaunchRequest& req,
   comm::LaunchResult res;
   res.status = out.status;
   res.daemons.reserve(out.daemons.size());
+  const comm::HostList hosts(req.bootstrap.hosts);
   for (const auto& [host, pid] : out.daemons) {
-    std::int32_t rank = -1;
-    for (std::size_t i = 0; i < req.bootstrap.hosts.size(); ++i) {
-      if (req.bootstrap.hosts[i] == host) {
-        rank = static_cast<std::int32_t>(i);
-        break;
-      }
-    }
+    const auto index = hosts.index_of(host);
+    const std::int32_t rank = index ? static_cast<std::int32_t>(*index) : -1;
     res.daemons.push_back(rm::TaskDesc{host, req.daemon_exe, pid, rank});
   }
   std::sort(res.daemons.begin(), res.daemons.end(),

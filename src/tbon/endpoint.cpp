@@ -137,12 +137,14 @@ void TbonEndpoint::on_packet(const cluster::ChannelPtr& ch,
                              cluster::Message m) {
   auto packet = Packet::decode(m);
   if (!packet) return;
-  self_.machine().count("tbon.packets");
-  self_.machine().count(std::string("tbon.packets.") +
-                        packet_kind_name(packet->kind));
-  if (packet->session != 0) {
-    self_.machine().count("tbon.s" + std::to_string(packet->session) +
-                          ".packets");
+  if (self_.machine().metrics() != nullptr) {
+    self_.machine().count("tbon.packets");
+    self_.machine().count(std::string("tbon.packets.") +
+                          packet_kind_name(packet->kind));
+    if (packet->session != 0) {
+      self_.machine().count("tbon.s" + std::to_string(packet->session) +
+                            ".packets");
+    }
   }
   if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
     tracer->instant("tbon.packet", "tbon",
@@ -361,6 +363,7 @@ std::uint32_t TbonEndpoint::session_of(std::uint32_t stream) const {
 
 void TbonEndpoint::count_stream(std::uint32_t stream, const char* name,
                                 double v) {
+  if (self_.machine().metrics() == nullptr) return;
   self_.machine().count(std::string("tbon.") + name, v);
   const std::uint32_t session = session_of(stream);
   if (session != 0) {

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "comm/host_list.hpp"
 #include "core/be_api.hpp"
 #include "core/fe_api.hpp"
 #include "rm/resource_manager.hpp"
@@ -193,7 +194,7 @@ TEST(LaunchSpawn, SessionReusedIsRejected) {
 /// read the table each daemon holds.
 class KeeperBe : public cluster::Program {
  public:
-  explicit KeeperBe(std::vector<const core::BackEnd*>* daemons)
+  explicit KeeperBe(std::vector<core::BackEnd*>* daemons)
       : daemons_(daemons) {}
   [[nodiscard]] std::string_view name() const override { return "keeper_be"; }
   void on_start(cluster::Process& self) override {
@@ -205,16 +206,16 @@ class KeeperBe : public cluster::Program {
   }
 
  private:
-  std::vector<const core::BackEnd*>* daemons_;
+  std::vector<core::BackEnd*>* daemons_;
   std::unique_ptr<core::BackEnd> be_;
 };
 
-/// Launches nnodes x tpn with `strategy` and checks that every daemon's
-/// proctable() is a handle to one decoded body, equal to the FE's table.
-void expect_daemons_share_one_table(int nnodes, int tpn,
-                                    comm::LaunchStrategyKind strategy) {
-  TestCluster tc(nnodes);
-  std::vector<const core::BackEnd*> daemons;
+/// Launches nnodes x tpn of keeper_be daemons with `strategy`; each daemon
+/// adds itself to `daemons` when it starts.
+void launch_keepers(TestCluster& tc, int nnodes, int tpn,
+                    comm::LaunchStrategyKind strategy,
+                    std::vector<core::BackEnd*>& daemons,
+                    std::shared_ptr<core::FrontEnd>& fe, int& sid) {
   cluster::ProgramImage image;
   image.image_mb = tc.machine.costs().tool_daemon_image_mb;
   image.factory = [&daemons](const std::vector<std::string>&) {
@@ -224,8 +225,6 @@ void expect_daemons_share_one_table(int nnodes, int tpn,
 
   bool done = false;
   Status status;
-  std::shared_ptr<core::FrontEnd> fe;
-  int sid = -1;
   tc.spawn_fe([&](cluster::Process& self) {
     fe = std::make_shared<core::FrontEnd>(self);
     ASSERT_TRUE(fe->init().is_ok());
@@ -239,8 +238,19 @@ void expect_daemons_share_one_table(int nnodes, int tpn,
                            done = true;
                          });
   });
-  ASSERT_TRUE(tc.run_until([&] { return done; }, sim::seconds(600)));
-  ASSERT_TRUE(status.is_ok()) << status.to_string();
+  EXPECT_TRUE(tc.run_until([&] { return done; }, sim::seconds(600)));
+  EXPECT_TRUE(status.is_ok()) << status.to_string();
+}
+
+/// Launches nnodes x tpn with `strategy` and checks that every daemon's
+/// proctable() is a handle to one decoded body, equal to the FE's table.
+void expect_daemons_share_one_table(int nnodes, int tpn,
+                                    comm::LaunchStrategyKind strategy) {
+  TestCluster tc(nnodes);
+  std::shared_ptr<core::FrontEnd> fe;
+  int sid = -1;
+  std::vector<core::BackEnd*> daemons;
+  launch_keepers(tc, nnodes, tpn, strategy, daemons, fe, sid);
   const core::Rpdtab* fe_table = fe->proctable(sid);
   ASSERT_NE(fe_table, nullptr);
   ASSERT_EQ(fe_table->size(), static_cast<std::size_t>(nnodes * tpn));
@@ -252,12 +262,63 @@ void expect_daemons_share_one_table(int nnodes, int tpn,
   }
 }
 
+/// Launches nnodes x tpn with `strategy` and checks that the host list is
+/// decoded once per RM launch (the job's and the daemons'), not once per
+/// node daemon or daemon, and that every daemon holds that one list.
+void expect_daemons_share_one_host_list(int nnodes, int tpn,
+                                        comm::LaunchStrategyKind strategy) {
+  TestCluster tc(nnodes);
+  std::shared_ptr<core::FrontEnd> fe;
+  int sid = -1;
+  const std::uint64_t decodes_before = comm::HostList::decodes();
+  std::vector<core::BackEnd*> daemons;
+  launch_keepers(tc, nnodes, tpn, strategy, daemons, fe, sid);
+  EXPECT_EQ(comm::HostList::decodes() - decodes_before, 2u);
+  ASSERT_EQ(daemons.size(), static_cast<std::size_t>(nnodes));
+  const comm::HostList& first = daemons.front()->iccl().params().hosts;
+  ASSERT_EQ(first.size(), static_cast<std::size_t>(nnodes));
+  EXPECT_EQ(first.names(), fe->proctable(sid)->hosts());
+  for (core::BackEnd* d : daemons) {
+    EXPECT_EQ(&d->iccl().params().hosts.names(), &first.names());
+  }
+}
+
 TEST(LaunchSpawn, RmBulkDaemonsShareOneDecodedTable) {
   expect_daemons_share_one_table(64, 8, comm::LaunchStrategyKind::RmBulk);
 }
 
 TEST(LaunchSpawn, TreeRshDaemonsShareOneDecodedTable) {
   expect_daemons_share_one_table(64, 2, comm::LaunchStrategyKind::TreeRsh);
+}
+
+TEST(LaunchSpawn, RmBulkDaemonsShareOneHostList) {
+  expect_daemons_share_one_host_list(64, 8, comm::LaunchStrategyKind::RmBulk);
+}
+
+TEST(LaunchSpawn, TreeRshDaemonsShareOneHostList) {
+  expect_daemons_share_one_host_list(64, 2,
+                                     comm::LaunchStrategyKind::TreeRsh);
+}
+
+/// Events a 64-node launched job and its daemons execute in 5 s of idle
+/// simulated time after launchAndSpawn completes.
+std::size_t idle_window_events(int tpn) {
+  TestCluster tc(64);
+  LaunchResult result;
+  std::shared_ptr<core::FrontEnd> fe;
+  tc.spawn_fe(make_launch_script(&result, 64, tpn, &fe));
+  EXPECT_TRUE(tc.run_until([&] { return result.done; }));
+  EXPECT_TRUE(result.status.is_ok()) << result.status.to_string();
+  EXPECT_EQ(result.proctable.size(), static_cast<std::size_t>(64 * tpn));
+  const std::size_t before = tc.simulator.executed_events();
+  tc.simulator.run(tc.simulator.now() + sim::seconds(5));
+  return tc.simulator.executed_events() - before;
+}
+
+TEST(LaunchSpawn, IdleJobSchedulesNoAppEvents) {
+  // Application state is a closed form of time: an idle job costs the
+  // simulator nothing per task, so eight times the tasks run no more events.
+  EXPECT_EQ(idle_window_events(1), idle_window_events(8));
 }
 
 }  // namespace

@@ -113,13 +113,39 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+int count_on_node(TestCluster& tc, int node, std::string_view exe) {
+  int count = 0;
+  for (cluster::Process* p : tc.machine.compute_node(node).live_processes()) {
+    if (p->options().executable == exe) ++count;
+  }
+  return count;
+}
+
+cluster::Process* find_on_node(TestCluster& tc, int node,
+                               std::string_view exe) {
+  for (cluster::Process* p : tc.machine.compute_node(node).live_processes()) {
+    if (p->options().executable == exe) return p;
+  }
+  return nullptr;
+}
+
+int count_everywhere(TestCluster& tc, std::string_view exe) {
+  int count = 0;
+  for (int i = 0; i < tc.machine.num_compute_nodes(); ++i) {
+    count += count_on_node(tc, i, exe);
+  }
+  return count;
+}
+
 // --- rsh client helpers -------------------------------------------------------
 //
 // Every rsh launch forks a local `rsh` client helper that lives as long as
 // its session. Teardown closes the sessions (the engine's, and each tree
 // agent's as it exits), so after a kill no helper may be left, and reaping
 // them must not move the simulated launch: the launch and kill times below
-// are the ones measured before helpers were reaped.
+// are the ones measured before helpers were reaped. The other way round,
+// a helper that dies first takes its session, and so its remote command,
+// with it.
 
 struct RshTeardownParam {
   comm::LaunchStrategyKind strategy;
@@ -183,6 +209,69 @@ TEST_P(RshTeardownTest, NoClientHelperOutlivesKill) {
   EXPECT_EQ(live_helpers(), 0);
 }
 
+TEST_P(RshTeardownTest, KillingHelperEndsRemoteCommand) {
+  const comm::LaunchStrategyKind strategy = GetParam().strategy;
+  constexpr int kNodes = 16;
+  TestCluster tc(kNodes);
+  std::vector<cluster::Process*> helpers;
+  auto collect_helpers = [&] {
+    helpers.clear();
+    for (int i = 0; i < tc.machine.num_nodes(); ++i) {
+      for (cluster::Process* p : tc.machine.node(i).live_processes()) {
+        if (p->program().name() == "rsh") helpers.push_back(p);
+      }
+    }
+  };
+
+  bool done = false;
+  Status status;
+  std::shared_ptr<core::FrontEnd> fe;
+  int sid = -1;
+  tc.spawn_fe([&](cluster::Process& self) {
+    fe = std::make_shared<core::FrontEnd>(self);
+    ASSERT_TRUE(fe->init().is_ok());
+    sid = fe->create_session().value;
+    core::FrontEnd::SpawnConfig cfg;
+    cfg.daemon_exe = "hello_be";
+    cfg.launch_strategy = strategy;
+    fe->launch_and_spawn(sid, rm::JobSpec{kNodes, 2, "mpi_app", {}}, cfg,
+                         [&](Status st) {
+                           status = st;
+                           done = true;
+                         });
+  });
+  ASSERT_TRUE(tc.run_until([&] { return done; }, sim::seconds(600)));
+  ASSERT_TRUE(status.is_ok()) << status.to_string();
+  collect_helpers();
+  ASSERT_EQ(helpers.size(), static_cast<std::size_t>(kNodes));
+
+  // Kill the last helper started: a daemon's (serial) or a leaf agent's
+  // (tree). Its remote command, and with it that host's daemon, must go.
+  cluster::Process* victim = helpers.front();
+  for (cluster::Process* h : helpers) {
+    if (h->pid() > victim->pid()) victim = h;
+  }
+  const int daemons_before = count_everywhere(tc, "hello_be");
+  const int agents_before = count_everywhere(tc, "rsh_tree_agent");
+  ASSERT_EQ(daemons_before, kNodes);
+  ASSERT_EQ(agents_before, strategy == kTree ? kNodes : 0);
+  victim->exit(9);
+  tc.simulator.run(tc.simulator.now() + sim::seconds(2));
+  EXPECT_EQ(count_everywhere(tc, "hello_be"), kNodes - 1);
+  EXPECT_EQ(count_everywhere(tc, "rsh_tree_agent"),
+            strategy == kTree ? kNodes - 1 : 0);
+  collect_helpers();
+  EXPECT_EQ(helpers.size(), static_cast<std::size_t>(kNodes - 1));
+
+  // The session still tears down cleanly, leaving no helper behind.
+  bool killed = false;
+  fe->kill(sid, [&](Status) { killed = true; });
+  ASSERT_TRUE(tc.run_until([&] { return killed; }));
+  tc.simulator.run(tc.simulator.now() + sim::seconds(2));
+  collect_helpers();
+  EXPECT_TRUE(helpers.empty());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     RshStrategies, RshTeardownTest,
     ::testing::Values(RshTeardownParam{kSerial, 15488389230, 50015886},
@@ -214,30 +303,6 @@ constexpr int kFaultNodes = 8;
 constexpr int kVictimHost = 1;
 const int kVictimSubtree[] = {1, 2};
 const int kSurvivors[] = {0, 3, 4, 5, 6, 7};
-
-int count_on_node(TestCluster& tc, int node, std::string_view exe) {
-  int count = 0;
-  for (cluster::Process* p : tc.machine.compute_node(node).live_processes()) {
-    if (p->options().executable == exe) ++count;
-  }
-  return count;
-}
-
-cluster::Process* find_on_node(TestCluster& tc, int node,
-                               std::string_view exe) {
-  for (cluster::Process* p : tc.machine.compute_node(node).live_processes()) {
-    if (p->options().executable == exe) return p;
-  }
-  return nullptr;
-}
-
-int count_everywhere(TestCluster& tc, std::string_view exe) {
-  int count = 0;
-  for (int i = 0; i < tc.machine.num_compute_nodes(); ++i) {
-    count += count_on_node(tc, i, exe);
-  }
-  return count;
-}
 
 class TreeRshFaultTest : public ::testing::TestWithParam<comm::TopologySpec> {
  protected:

@@ -86,10 +86,12 @@ TEST(RmProtocol, TreeLaunchReqSubtreeEncodingMatchesCopyThenEncode) {
   req.executable = "hello_be";
   req.extra_args = {"--x=1"};
   req.tasks_per_node = 2;
+  std::vector<std::string> hosts;
   for (std::uint32_t i = 0; i < 9; ++i) {
     req.nodes.push_back({"n" + std::to_string(i), i});
-    req.all_hosts.push_back("n" + std::to_string(i));
+    hosts.push_back("n" + std::to_string(i));
   }
+  req.all_hosts = hosts;
   req.fabric = FabricSpec{7100, 4, 9, "fe", 7050, "s1", comm::TopologyKind::KAry,
                           0, "thunder", true, 25, 16};
   EXPECT_EQ(req.encode().bytes, req.encode_subtree(req.nodes, req.seq).bytes);

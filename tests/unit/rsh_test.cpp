@@ -75,6 +75,32 @@ TEST(Rsh, ClosingSessionKillsRemoteCommand) {
   EXPECT_EQ(remote->state(), cluster::ProcState::Exited);
 }
 
+TEST(Rsh, HelperDyingBeforeTheReplyEndsRemoteCommand) {
+  TestCluster tc(1);
+  RemoteExec result;
+  bool done = false;
+  tc.spawn_fe([&](cluster::Process& self) {
+    RshSession::run(self, tc.machine.compute_node(0).hostname(), "sleeperd",
+                    {}, [&](RemoteExec r) {
+                      result = std::move(r);
+                      done = true;
+                    });
+    // The helper dies while the session is still being set up.
+    self.post(sim::ms(1), [&] {
+      for (cluster::Process* p : tc.machine.front_end().live_processes()) {
+        if (p->program().name() == "rsh") p->exit(9);
+      }
+    });
+  });
+  ASSERT_TRUE(tc.run_until([&] { return done; }));
+  EXPECT_EQ(result.status.rc(), Rc::Esubcom);
+  EXPECT_EQ(result.session, nullptr);
+  tc.simulator.run(tc.simulator.now() + sim::seconds(1));
+  for (cluster::Process* p : tc.machine.compute_node(0).live_processes()) {
+    EXPECT_NE(p->options().executable, "sleeperd");
+  }
+}
+
 TEST(Rsh, SerialLauncherPreservesTargetOrder) {
   TestCluster tc(4);
   LaunchOutcome outcome;
