@@ -85,7 +85,7 @@ void BM_EventQueuePushPop(benchmark::State& state) {
     for (int i = 0; i < state.range(0); ++i) {
       q.push(static_cast<sim::Time>(rng.next_below(1'000'000)), [] {});
     }
-    while (!q.empty()) q.pop();
+    while (!q.empty()) q.run_next();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));

@@ -64,17 +64,16 @@ void Channel::send(Pid self, Message msg) {
                         std::to_string(msg.size()));
   }
 
-  auto self_ptr = shared_from_this();
-  const Pid dst_pid = dst.pid;
-  simulator.schedule_at(
-      arrival, [self_ptr, dst_pid, m = std::move(msg)]() mutable {
-        if (!self_ptr->open_) return;
-        Process* peer = self_ptr->machine_.find_process(dst_pid);
-        if (peer == nullptr || peer->state() == ProcState::Exited) return;
-        peer->deliver([self_ptr, peer, m = std::move(m)]() mutable {
-          peer->dispatch_message(self_ptr, std::move(m));
-        });
-      });
+  simulator.schedule_at(arrival, [self_ptr = shared_from_this(),
+                                  dst_pid = dst.pid,
+                                  m = std::move(msg)]() mutable {
+    if (!self_ptr->open_) return;
+    Process* peer = Process::find_live(self_ptr->machine_, dst_pid);
+    if (peer == nullptr) return;
+    peer->deliver([ch = std::move(self_ptr), peer, m = std::move(m)]() mutable {
+      peer->dispatch_message(ch, std::move(m));
+    });
+  });
 }
 
 void Channel::notify_closed(const End& from, const End& to) {
@@ -83,8 +82,8 @@ void Channel::notify_closed(const End& from, const End& to) {
   machine_.sim().schedule(
       machine_.network().transfer_time(from.node, to.node, 0),
       [self_ptr, dst_pid] {
-        Process* peer = self_ptr->machine_.find_process(dst_pid);
-        if (peer == nullptr || peer->state() == ProcState::Exited) return;
+        Process* peer = Process::find_live(self_ptr->machine_, dst_pid);
+        if (peer == nullptr) return;
         peer->forget_channel(self_ptr->id());
         peer->deliver(
             [self_ptr, peer] { peer->dispatch_closed(self_ptr); });

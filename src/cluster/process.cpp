@@ -44,15 +44,9 @@ void Process::set_state(ProcState to) {
   if (from != to) program_->on_state_change(*this, from);
 }
 
-void Process::post(sim::Time delay, std::function<void()> fn) {
-  if (state_ == ProcState::Exited) return;
-  Machine& m = machine_;
-  const Pid pid = pid_;
-  m.sim().schedule(delay, [&m, pid, fn = std::move(fn)]() mutable {
-    Process* p = m.find_process(pid);
-    if (p == nullptr || p->state() == ProcState::Exited) return;
-    p->deliver(std::move(fn));
-  });
+Process* Process::find_live(Machine& machine, Pid pid) {
+  Process* p = machine.find_process(pid);
+  return p == nullptr || p->state() == ProcState::Exited ? nullptr : p;
 }
 
 sim::Time Process::reserve_busy(sim::Time cost) {
@@ -62,25 +56,16 @@ sim::Time Process::reserve_busy(sim::Time cost) {
   return busy_until_ - now;
 }
 
-void Process::deliver(std::function<void()> fn) {
-  switch (state_) {
-    case ProcState::Exited:
-      return;  // dropped: the process is gone
-    case ProcState::Stopped:
-    case ProcState::Spawning:
-      deferred_.push_back(std::move(fn));
-      return;
-    case ProcState::Running:
-      fn();
-      return;
-  }
+void Process::defer(sim::Callback fn) {
+  if (state_ == ProcState::Exited) return;  // dropped: the process is gone
+  deferred_.push_back(std::move(fn));
 }
 
 void Process::flush_deferred() {
   // Deliveries queued while stopped run in arrival order on resume. New work
   // may be appended while flushing; the loop handles that naturally.
   while (!deferred_.empty() && state_ == ProcState::Running) {
-    std::function<void()> fn = std::move(deferred_.front());
+    sim::Callback fn = std::move(deferred_.front());
     deferred_.erase(deferred_.begin());
     fn();
   }

@@ -161,11 +161,20 @@ class Process {
   }
 
   // --- time ---------------------------------------------------------------
-  /// Schedules `fn` after `delay`. If the process is stopped by a tracer at
-  /// fire time the continuation is deferred until resume; if it has exited
-  /// the continuation is dropped. This gives tracer stop/continue faithful
-  /// "the whole process freezes" semantics.
-  void post(sim::Time delay, std::function<void()> fn);
+  /// Schedules `fn` (any `void()` callable) after `delay`. If the process
+  /// is stopped by a tracer at fire time the continuation is deferred until
+  /// resume; if it has exited the continuation is dropped. This gives tracer
+  /// stop/continue faithful "the whole process freezes" semantics. The
+  /// event holds `fn` itself (one closure, inline when it fits
+  /// sim::Callback) and runs it directly when the process is Running.
+  template <typename F>
+  void post(sim::Time delay, F&& fn) {
+    if (state_ == ProcState::Exited) return;
+    sim().schedule(delay, [&m = machine_, pid = pid_,
+                           fn = std::forward<F>(fn)]() mutable {
+      if (Process* p = find_live(m, pid)) p->deliver(std::move(fn));
+    });
+  }
 
   /// Reserves `cost` of serialized CPU time on this process and returns the
   /// delay until that work completes. Consecutive reservations queue behind
@@ -249,7 +258,19 @@ class Process {
   /// /proc's state letter together, then tells the program.
   void set_state(ProcState to);
   void reap_pdeath_children();
-  void deliver(std::function<void()> fn);  // respects Stopped/Exited
+  /// The process `pid` unless it is gone or has exited.
+  static Process* find_live(Machine& machine, Pid pid);
+  /// Runs `fn` now if Running; queues it while Stopped or Spawning (run in
+  /// arrival order on resume); drops it once Exited.
+  template <typename F>
+  void deliver(F&& fn) {
+    if (state_ == ProcState::Running) {
+      fn();
+    } else {
+      defer(sim::Callback(std::forward<F>(fn)));
+    }
+  }
+  void defer(sim::Callback fn);
   void flush_deferred();
   void attach_tracer(TraceSession* session);
   void detach_tracer();
@@ -270,7 +291,7 @@ class Process {
   std::map<Channel::Id, ChannelPtr> channels_;
   std::map<Channel::Id, std::pair<MessageHandler, ClosedHandler>> handlers_;
   std::vector<Port> listening_;
-  std::vector<std::function<void()>> deferred_;
+  std::vector<sim::Callback> deferred_;
   std::vector<std::unique_ptr<TraceSession>> trace_sessions_;
   TraceSession* tracer_ = nullptr;  ///< session tracing *this* process
   std::function<void()> pending_resume_;

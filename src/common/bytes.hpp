@@ -11,6 +11,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -73,11 +74,46 @@ class ByteWriter {
  private:
   template <typename T>
   void append_le(T v) {
+    std::uint8_t le[sizeof(T)];
     for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+      le[i] = static_cast<std::uint8_t>(v >> (8 * i));
     }
+    buf_.insert(buf_.end(), le, le + sizeof(T));
   }
   Bytes buf_;
+};
+
+/// A read-only view into a refcounted byte buffer that keeps the buffer
+/// alive, so bytes can be handed on (a received frame's entry, one chunk of a
+/// payload) without being copied.
+class ByteSlice {
+ public:
+  ByteSlice() = default;
+  ByteSlice(std::shared_ptr<const Bytes> owner,
+            std::span<const std::uint8_t> view)
+      : owner_(std::move(owner)), view_(view) {}
+  /// The whole of `owner`.
+  explicit ByteSlice(std::shared_ptr<const Bytes> owner)
+      : owner_(std::move(owner)), view_(*owner_) {}
+  /// Takes over `bytes` whole (moved, not copied).
+  explicit ByteSlice(Bytes bytes)
+      : ByteSlice(std::make_shared<const Bytes>(std::move(bytes))) {}
+
+  [[nodiscard]] std::span<const std::uint8_t> span() const noexcept {
+    return view_;
+  }
+  [[nodiscard]] std::size_t size() const noexcept { return view_.size(); }
+  /// `len` bytes from `offset` of this view, sharing its buffer.
+  [[nodiscard]] ByteSlice sub(std::size_t offset, std::size_t len) const {
+    return {owner_, view_.subspan(offset, len)};
+  }
+  [[nodiscard]] Bytes to_bytes() const {
+    return Bytes(view_.begin(), view_.end());
+  }
+
+ private:
+  std::shared_ptr<const Bytes> owner_;
+  std::span<const std::uint8_t> view_;
 };
 
 /// Consumes primitive values from a byte buffer written by ByteWriter.

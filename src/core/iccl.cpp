@@ -1,6 +1,7 @@
 #include "core/iccl.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 
 #include "cluster/cost_model_registry.hpp"
@@ -11,52 +12,158 @@ namespace lmon::core {
 
 namespace {
 
-cluster::Message encode_frame(
-    std::uint8_t kind, StreamKey tag, std::uint32_t src,
-    const std::vector<std::pair<std::uint32_t, Bytes>>& entries) {
-  ByteWriter w;
-  w.u8(kind);
+using Kind = Iccl::Kind;
+
+/// Frame header: kind u8, then session, tag, src and entry count as u32.
+constexpr std::size_t kFrameHeaderBytes = 17;
+
+/// A u32 entry payload (sizes, offsets), little-endian like ByteWriter.
+using U32Le = std::array<std::uint8_t, 4>;
+U32Le le32(std::uint32_t v) {
+  return {static_cast<std::uint8_t>(v), static_cast<std::uint8_t>(v >> 8),
+          static_cast<std::uint8_t>(v >> 16),
+          static_cast<std::uint8_t>(v >> 24)};
+}
+
+std::span<const std::uint8_t> view_of(std::span<const std::uint8_t> b) {
+  return b;
+}
+std::span<const std::uint8_t> view_of(const ByteSlice& b) { return b.span(); }
+
+/// Encodes one frame from any range of (rank, bytes) entries: the buffer is
+/// sized up front and each payload is copied into it exactly once.
+template <typename Entries>
+cluster::Message encode_frame(Kind kind, StreamKey tag, std::uint32_t src,
+                              const Entries& entries) {
+  std::size_t size = kFrameHeaderBytes;
+  for (const auto& [rank, data] : entries) size += 8 + view_of(data).size();
+  ByteWriter w(size);
+  w.u8(static_cast<std::uint8_t>(kind));
   w.u32(tag.session);
   w.u32(tag.tag);
   w.u32(src);
-  w.u32(static_cast<std::uint32_t>(entries.size()));
+  w.u32(static_cast<std::uint32_t>(std::size(entries)));
   for (const auto& [rank, data] : entries) {
     w.u32(rank);
-    w.blob(data);
+    w.blob(view_of(data));
   }
   return cluster::Message(std::move(w).take());
 }
 
-struct Frame {
-  std::uint8_t kind;
-  StreamKey tag;
-  std::uint32_t src;
-  std::vector<std::pair<std::uint32_t, Bytes>> entries;
-};
+cluster::Message encode_frame(Kind kind, StreamKey tag, std::uint32_t src) {
+  return encode_frame(
+      kind, tag, src,
+      std::array<std::pair<std::uint32_t, std::span<const std::uint8_t>>,
+                 0>{});
+}
 
-std::optional<Frame> decode_frame(const cluster::Message& m) {
-  ByteReader r(m.bytes);
-  Frame f;
-  auto kind = r.u8();
-  auto session = r.u32();
-  auto tag = r.u32();
-  auto src = r.u32();
-  auto count = r.u32();
-  if (!kind || !session || !tag || !src || !count) return std::nullopt;
-  f.kind = *kind;
-  f.tag = StreamKey{*session, *tag};
-  f.src = *src;
-  f.entries.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto rank = r.u32();
-    auto data = r.blob();
-    if (!rank || !data) return std::nullopt;
-    f.entries.emplace_back(*rank, std::move(*data));
-  }
-  return f;
+cluster::Message encode_frame(Kind kind, StreamKey tag, std::uint32_t src,
+                              std::uint32_t rank,
+                              std::span<const std::uint8_t> data) {
+  return encode_frame(kind, tag, src, std::array{std::pair{rank, data}});
 }
 
 }  // namespace
+
+/// One received fabric frame. The frame owns the received buffer (moved out
+/// of the message, never copied) and its entries are views into it. slice()
+/// moves the buffer into a refcounted owner so entries can outlive the
+/// handling event as ByteSlices; take_first() turns the buffer into the
+/// first entry's bytes in place.
+struct Iccl::Frame {
+  Kind kind = Kind::Register;
+  StreamKey tag;
+  std::uint32_t src = 0;
+  std::uint32_t count = 0;
+
+  /// nullopt unless the header and every entry lie within `bytes`.
+  static std::optional<Frame> decode(Bytes bytes) {
+    ByteReader r(bytes);
+    auto kind = r.u8();
+    auto session = r.u32();
+    auto tag = r.u32();
+    auto src = r.u32();
+    auto count = r.u32();
+    if (!kind || !session || !tag || !src || !count) return std::nullopt;
+    for (std::uint32_t i = 0; i < *count; ++i) {
+      auto rank = r.u32();
+      auto data = r.blob_view();
+      if (!rank || !data) return std::nullopt;
+    }
+    Frame f;
+    f.kind = static_cast<Kind>(*kind);
+    f.tag = StreamKey{*session, *tag};
+    f.src = *src;
+    f.count = *count;
+    f.buf_ = std::move(bytes);
+    return f;
+  }
+
+  /// Calls fn(rank, bytes) for each entry in wire order.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    ByteReader r(bytes().subspan(kFrameHeaderBytes));
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const std::uint32_t rank = *r.u32();
+      fn(rank, *r.blob_view());
+    }
+  }
+
+  [[nodiscard]] std::vector<EntryView> entries() const {
+    std::vector<EntryView> out;
+    out.reserve(count);
+    for_each([&](std::uint32_t rank, std::span<const std::uint8_t> data) {
+      out.emplace_back(rank, data);
+    });
+    return out;
+  }
+
+  /// Precondition: count > 0.
+  [[nodiscard]] EntryView first() const {
+    ByteReader r(bytes().subspan(kFrameHeaderBytes));
+    const std::uint32_t rank = *r.u32();
+    return {rank, *r.blob_view()};
+  }
+
+  [[nodiscard]] std::size_t payload_bytes() const {
+    std::size_t total = 0;
+    for_each([&](std::uint32_t, std::span<const std::uint8_t> data) {
+      total += data.size();
+    });
+    return total;
+  }
+
+  /// A slice of `view` (which must lie in this frame) that keeps the
+  /// received buffer alive.
+  ByteSlice slice(std::span<const std::uint8_t> view) {
+    if (!owner_) owner_ = std::make_shared<const Bytes>(std::move(buf_));
+    return {owner_, view};
+  }
+
+  /// The first entry's bytes, in the received buffer: the header in front
+  /// is erased in place and anything after it dropped, so this allocates
+  /// nothing. Precondition: count > 0 and slice() was never called.
+  Bytes take_first() && {
+    assert(count > 0 && !owner_);
+    const auto data = first().second;
+    const auto offset = data.data() - buf_.data();
+    const std::size_t len = data.size();
+    buf_.erase(buf_.begin(), buf_.begin() + offset);
+    buf_.resize(len);
+    return std::move(buf_);
+  }
+
+ private:
+  /// The received bytes; slice() moves the buffer (not its contents), so
+  /// views taken before stay valid.
+  [[nodiscard]] std::span<const std::uint8_t> bytes() const {
+    if (owner_) return *owner_;
+    return buf_;
+  }
+
+  Bytes buf_;
+  std::shared_ptr<const Bytes> owner_;
+};
 
 obs::SpanId Iccl::trace_parent(obs::Tracer& tracer) const {
   return tracer.anchor("daemon:" + params_.session + ":" +
@@ -210,8 +317,7 @@ void Iccl::connect_parent(int attempts_left) {
           parent_ = nullptr;
           if (heal_ && ready_fired_ && !left_) begin_reparent();
         });
-    self_.send(ch, encode_frame(static_cast<std::uint8_t>(Kind::Register), 0,
-                                params_.rank, {}));
+    self_.send(ch, encode_frame(Kind::Register, 0, params_.rank));
     parent_linked_ = true;
     maybe_subtree_ready();
   });
@@ -219,17 +325,15 @@ void Iccl::connect_parent(int attempts_left) {
 
 void Iccl::on_fabric_message(const cluster::ChannelPtr& ch,
                              cluster::Message m) {
-  auto frame = decode_frame(m);
+  auto frame = Frame::decode(std::move(m.bytes));
   if (!frame) return;
   const std::size_t tap_bytes =
-      frame->entries.empty() ? 0 : frame->entries.front().second.size();
+      frame->count == 0 ? 0 : frame->first().second.size();
   if (frame_tap_) {
-    frame_tap_(static_cast<Kind>(frame->kind), frame->tag.tag, frame->src,
-               tap_bytes);
+    frame_tap_(frame->kind, frame->tag.tag, frame->src, tap_bytes);
   }
   if (keyed_frame_tap_) {
-    keyed_frame_tap_(static_cast<Kind>(frame->kind), frame->tag, frame->src,
-                     tap_bytes);
+    keyed_frame_tap_(frame->kind, frame->tag, frame->src, tap_bytes);
   }
   // Per-message handling cost inside the daemon's collective layer. Eager
   // payload frames (broadcast, scatter and whole-subtree gather-up alike)
@@ -237,20 +341,16 @@ void Iccl::on_fabric_message(const cluster::ChannelPtr& ch,
   // pre-registered zero-copy buffer instead, which is what makes the chunk
   // path cheap per byte in both directions.
   const auto& costs = self_.machine().costs();
-  const Kind kind = static_cast<Kind>(frame->kind);
+  const Kind kind = frame->kind;
   sim::Time handle_cost = costs.iccl_msg_handle;
   if (kind == Kind::RndvChunk || kind == Kind::GatherChunk) {
     handle_cost = costs.iccl_chunk_handle;
   } else if (kind == Kind::Bcast || kind == Kind::Scatter ||
              kind == Kind::GatherUp) {
-    std::size_t payload_bytes = 0;
-    for (const auto& [rank, data] : frame->entries) {
-      payload_bytes += data.size();
-    }
-    handle_cost += eager_copy_cost(payload_bytes);
+    handle_cost += eager_copy_cost(frame->payload_bytes());
   }
   self_.post(handle_cost, [this, ch, frame = std::move(*frame)]() mutable {
-    switch (static_cast<Kind>(frame.kind)) {
+    switch (frame.kind) {
       case Kind::Register:
         handle_register(ch, frame.src);
         break;
@@ -258,54 +358,62 @@ void Iccl::on_fabric_message(const cluster::ChannelPtr& ch,
         handle_setup_up();
         break;
       case Kind::Bcast:
-        if (!frame.entries.empty()) {
-          handle_bcast(frame.tag, std::move(frame.entries.front().second));
+        if (frame.count != 0) {
+          handle_bcast(frame.tag, std::move(frame).take_first());
         }
         break;
       case Kind::GatherUp:
-        handle_gather_up(frame.tag, frame.src, std::move(frame.entries));
+        handle_gather_up(frame.tag, frame.src, frame);
         break;
-      case Kind::Scatter:
-        handle_scatter(frame.tag, std::move(frame.entries));
+      case Kind::Scatter: {
+        const std::vector<EntryView> entries = frame.entries();
+        scatter_down(frame.tag, entries);
+        for (const auto& [rank, data] : entries) {
+          if (rank != params_.rank) continue;
+          // A leaf's frame carries only its own part: deliver it in place.
+          deliver_scatter(frame.tag, frame.count == 1
+                                         ? std::move(frame).take_first()
+                                         : Bytes(data.begin(), data.end()));
+          break;
+        }
         break;
+      }
       case Kind::RndvRts:
-        if (!frame.entries.empty()) {
-          ByteReader r(frame.entries.front().second);
-          handle_rndv_rts(frame.tag, frame.entries.front().first,
-                          r.u32().value_or(0));
+        if (frame.count != 0) {
+          const auto [nchunks, blob] = frame.first();
+          ByteReader r(blob);
+          handle_rndv_rts(frame.tag, nchunks, r.u32().value_or(0));
         }
         break;
       case Kind::RndvCts:
         handle_rndv_cts(frame.tag, frame.src);
         break;
       case Kind::RndvChunk:
-        if (!frame.entries.empty()) {
-          handle_rndv_chunk(frame.tag, frame.entries.front().first,
-                            std::move(frame.entries.front().second));
+        if (frame.count != 0) {
+          handle_rndv_chunk(frame.tag, frame.first().first, frame);
         }
         break;
       case Kind::GatherRts:
-        handle_gather_rts(frame.tag, frame.src, std::move(frame.entries));
+        handle_gather_rts(frame.tag, frame.src, frame.entries());
         break;
       case Kind::GatherCts:
         handle_gather_cts(frame.tag);
         break;
       case Kind::GatherChunk:
-        if (!frame.entries.empty()) {
-          handle_gather_chunk(frame.tag, frame.entries.front().first,
-                              std::move(frame.entries.front().second));
+        if (frame.count != 0) {
+          handle_gather_chunk(frame.tag, frame.first().first, frame);
         }
         break;
       case Kind::GatherDrop:
-        handle_gather_drop(frame.tag, frame.entries);
+        handle_gather_drop(frame.tag, frame.entries());
         break;
       case Kind::Reattach:
-        if (!frame.entries.empty()) {
-          handle_reattach(ch, frame.src, frame.entries.front().second);
+        if (frame.count != 0) {
+          handle_reattach(ch, frame.src, frame.first().second);
         }
         break;
       case Kind::GatherResume:
-        handle_gather_resume(frame.tag, frame.entries);
+        handle_gather_resume(frame.tag, frame.entries());
         break;
       case Kind::GatherDone:
         handle_gather_done(frame.tag);
@@ -335,8 +443,7 @@ void Iccl::maybe_subtree_ready() {
   if (setups_pending_ > 0) return;
   ready_fired_ = true;
   if (!is_root() && parent_ != nullptr) {
-    send_up(encode_frame(static_cast<std::uint8_t>(Kind::SetupUp), 0,
-                         params_.rank, {}));
+    send_up(encode_frame(Kind::SetupUp, 0, params_.rank));
   }
   if (subtree_ready_) subtree_ready_(Status::ok());
 }
@@ -374,8 +481,8 @@ void Iccl::eager_fanout(StreamKey tag,
     cluster::ChannelPtr child = ch;
     self_.post(static_cast<sim::Time>(k++) * quantum, [this, child, tag,
                                                        payload] {
-      self_.send(child, encode_frame(static_cast<std::uint8_t>(Kind::Bcast),
-                                     tag, params_.rank, {{0, *payload}}));
+      self_.send(child, encode_frame(Kind::Bcast, tag, params_.rank, 0,
+                                     *payload));
     });
   }
 }
@@ -395,16 +502,15 @@ void Iccl::handle_bcast(StreamKey tag, Bytes data) {
       const auto total = static_cast<std::uint32_t>(payload->size());
       const std::uint32_t nchunks = (total + chunk - 1) / chunk;
       RndvSend& st = rndv_open_send(tag, nchunks, total);
-      // The root has every chunk ready up front; they stream (round-robin
-      // across the children) as soon as the last CTS arrives.
+      // The root has every chunk ready up front (slices of the payload);
+      // they stream (round-robin across the children) as soon as the last
+      // CTS arrives.
+      const ByteSlice whole(payload);
       st.ready.reserve(nchunks);
       for (std::uint32_t seq = 0; seq < nchunks; ++seq) {
         const std::size_t begin = static_cast<std::size_t>(seq) * chunk;
-        const std::size_t len = std::min<std::size_t>(chunk,
-                                                      total - begin);
-        st.ready.push_back(std::make_shared<const Bytes>(
-            payload->begin() + static_cast<std::ptrdiff_t>(begin),
-            payload->begin() + static_cast<std::ptrdiff_t>(begin + len)));
+        st.ready.push_back(whole.sub(begin, std::min<std::size_t>(
+                                                chunk, total - begin)));
       }
       rndv_flush(tag, st);
     } else {
@@ -444,12 +550,9 @@ Iccl::RndvSend& Iccl::rndv_open_send(StreamKey tag, std::uint32_t nchunks,
     count_mux(tag, "rts_sent");
     self_.post(static_cast<sim::Time>(k++) * quantum,
                [this, child, tag, nchunks, total] {
-                 ByteWriter w;
-                 w.u32(total);
-                 self_.send(child,
-                            encode_frame(
-                                static_cast<std::uint8_t>(Kind::RndvRts), tag,
-                                params_.rank, {{nchunks, std::move(w).take()}}));
+                 self_.send(child, encode_frame(Kind::RndvRts, tag,
+                                                params_.rank, nchunks,
+                                                le32(total)));
                });
   }
   return st;
@@ -468,7 +571,11 @@ void Iccl::handle_rndv_rts(StreamKey tag, std::uint32_t nchunks,
   }
   RndvRecv& rc = rndv_recvs_[tag];
   rc.nchunks = nchunks;
-  rc.assembled.reserve(total);
+  // One chunk adopts its frame's buffer; more are copied into this.
+  if (nchunks > 1 && !rc.assembled) {
+    rc.assembled = std::make_shared<Bytes>();
+    rc.assembled->reserve(total);
+  }
   if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
     rc.span = tracer->begin_span(
         "iccl.rndv_recv", "iccl", static_cast<int>(self_.node().id()),
@@ -480,8 +587,7 @@ void Iccl::handle_rndv_rts(StreamKey tag, std::uint32_t nchunks,
   if (!children_.empty()) rndv_open_send(tag, nchunks, total);
   // Clear the parent to stream.
   count_mux(tag, "cts_sent");
-  send_up(encode_frame(static_cast<std::uint8_t>(Kind::RndvCts), tag,
-                       params_.rank, {}));
+  send_up(encode_frame(Kind::RndvCts, tag, params_.rank));
 }
 
 void Iccl::handle_rndv_cts(StreamKey tag, std::uint32_t src) {
@@ -506,20 +612,20 @@ void Iccl::rndv_flush(StreamKey tag, RndvSend& st) {
   if (!st.streaming) return;
   // Serialized chunk posts: each (chunk, child) send occupies the CPU for
   // one chunk-handle quantum, but unlike eager there is no per-byte copy -
-  // chunks go out of the one registered payload buffer. Levels overlap
-  // because a relay forwards chunk j while its parent still streams j+1.
+  // chunks go out of the one registered payload buffer (here: each send
+  // encodes its frame from a slice of it). Levels overlap because a relay
+  // forwards chunk j while its parent still streams j+1.
   const sim::Time occ = self_.machine().costs().iccl_chunk_handle;
   const sim::Time now = self_.sim().now();
   while (st.next_seq < st.ready.size()) {
     const std::uint32_t seq = st.next_seq++;
-    std::shared_ptr<const Bytes> chunk = st.ready[seq];
+    const ByteSlice& chunk = st.ready[seq];
     for (auto& [rank, ch] : children_) {
       cluster::ChannelPtr child = ch;
       sim::Time depart = std::max(st.cursor, now);
       self_.post(depart - now, [this, child, tag, seq, chunk] {
-        self_.send(child,
-                   encode_frame(static_cast<std::uint8_t>(Kind::RndvChunk),
-                                tag, params_.rank, {{seq, *chunk}}));
+        self_.send(child, encode_frame(Kind::RndvChunk, tag, params_.rank,
+                                       seq, chunk.span()));
       });
       st.cursor = depart + occ;
     }
@@ -533,13 +639,26 @@ void Iccl::rndv_flush(StreamKey tag, RndvSend& st) {
 }
 
 void Iccl::handle_rndv_chunk(StreamKey tag, std::uint32_t seq,
-                             Bytes data) {
+                             Frame& frame) {
   auto it = rndv_recvs_.find(tag);
   if (it == rndv_recvs_.end()) return;
   RndvRecv& rc = it->second;
   if (seq != rc.received) return;  // FIFO channels make this unreachable
+  ByteSlice chunk;
+  if (rc.nchunks == 1) {
+    // The only chunk is the whole payload: keep the received buffer.
+    rc.assembled = std::make_shared<Bytes>(std::move(frame).take_first());
+    chunk = ByteSlice(rc.assembled);
+  } else {
+    const auto data = frame.first().second;
+    Bytes& buf = *rc.assembled;
+    // Never outgrow the reservation: relayed slices point into the buffer.
+    if (data.size() > buf.capacity() - buf.size()) return;
+    const std::size_t offset = buf.size();
+    buf.insert(buf.end(), data.begin(), data.end());
+    chunk = ByteSlice(rc.assembled, std::span(buf).subspan(offset));
+  }
   rc.received += 1;
-  rc.assembled.insert(rc.assembled.end(), data.begin(), data.end());
   count_mux(tag, "chunks_received");
   // Relay toward this node's own children (cut-through forwarding).
   auto sit = rndv_sends_.find(tag);
@@ -552,24 +671,17 @@ void Iccl::handle_rndv_chunk(StreamKey tag, std::uint32_t seq,
                       "tag=" + tag.str() +
                           " seq=" + std::to_string(seq));
     }
-    sit->second.ready.push_back(
-        std::make_shared<const Bytes>(std::move(data)));
+    sit->second.ready.push_back(std::move(chunk));
     rndv_flush(tag, sit->second);
   }
   if (rc.received == rc.nchunks) {
-    Bytes assembled = std::move(rc.assembled);
+    std::shared_ptr<const Bytes> payload = std::move(rc.assembled);
     if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
-      tracer->end_span(rc.span,
-                       "bytes=" + std::to_string(assembled.size()));
+      tracer->end_span(rc.span, "bytes=" + std::to_string(payload->size()));
     }
     rndv_recvs_.erase(it);
-    if (heal_) {
-      auto payload = std::make_shared<const Bytes>(std::move(assembled));
-      heal_record_bcast(tag, payload);
-      deliver_bcast(tag, *payload);
-      return;
-    }
-    deliver_bcast(tag, assembled);
+    if (heal_) heal_record_bcast(tag, payload);
+    deliver_bcast(tag, *payload);
   }
 }
 
@@ -651,36 +763,33 @@ void Iccl::contribute(StreamKey tag, Bytes data) {
   count_mux(tag, "gather_contributions");
   count_mux(tag, "gather_bytes_contributed",
             static_cast<double>(data.size()));
-  st.acc.emplace_back(params_.rank, std::move(data));
-  if (heal_) st.retained[params_.rank] = st.acc.back().second;
+  st.acc.emplace_back(params_.rank, ByteSlice(std::move(data)));
+  if (heal_) st.retained[params_.rank] = st.acc.back().second.to_bytes();
   flush_gather(tag);
 }
 
-void Iccl::handle_gather_up(
-    StreamKey tag, std::uint32_t src,
-    std::vector<std::pair<std::uint32_t, Bytes>> entries) {
+void Iccl::handle_gather_up(StreamKey tag, std::uint32_t src,
+                            Frame& frame) {
   GatherState& st = gather_state(tag);
   st.children_pending.erase(src);
+  std::vector<EntryView> entries = frame.entries();
   if (heal_) {
     // Re-sent eager accumulation from a reattached orphan: keep only the
     // origins this node has not seen yet (a prior partial path may have
     // delivered some already via a different route).
-    entries.erase(
-        std::remove_if(entries.begin(), entries.end(),
-                       [&](const auto& e) {
-                         return st.retained.count(e.first) != 0 ||
-                                st.origin_bytes.count(e.first) != 0 ||
-                                st.assembling.count(e.first) != 0 ||
-                                st.dropped.count(e.first) != 0;
-                       }),
-        entries.end());
+    std::erase_if(entries, [&](const EntryView& e) {
+      return st.retained.count(e.first) != 0 ||
+             st.origin_bytes.count(e.first) != 0 ||
+             st.assembling.count(e.first) != 0 ||
+             st.dropped.count(e.first) != 0;
+    });
     if (st.retired && entries.empty()) return;
-    for (auto& e : entries) {
-      st.retained[e.first] = e.second;
-      st.acc.push_back(std::move(e));
+    for (const auto& [rank, data] : entries) {
+      st.retained[rank] = Bytes(data.begin(), data.end());
     }
-  } else {
-    for (auto& e : entries) st.acc.push_back(std::move(e));
+  }
+  for (const auto& [rank, data] : entries) {
+    st.acc.emplace_back(rank, frame.slice(data));
   }
   flush_gather(tag);
 }
@@ -715,8 +824,7 @@ void Iccl::flush_gather(StreamKey tag) {
   }
   std::sort(st.acc.begin(), st.acc.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  send_up(encode_frame(static_cast<std::uint8_t>(Kind::GatherUp), tag,
-                       params_.rank, st.acc));
+  send_up(encode_frame(Kind::GatherUp, tag, params_.rank, st.acc));
   if (heal_) {
     heal_retire_gather(tag, st, /*eager=*/true);
   } else {
@@ -732,17 +840,13 @@ void Iccl::gather_announce(StreamKey tag, GatherState& st) {
             [](const auto& a, const auto& b) { return a.first < b.first; });
   // RTS carries (origin, total bytes) for every origin in this subtree:
   // the locally-held entries plus everything rendezvous children announced.
-  std::vector<std::pair<std::uint32_t, Bytes>> origins;
+  std::vector<std::pair<std::uint32_t, U32Le>> origins;
   origins.reserve(st.acc.size() + st.origin_bytes.size());
   for (const auto& [rank, data] : st.acc) {
-    ByteWriter w;
-    w.u32(static_cast<std::uint32_t>(data.size()));
-    origins.emplace_back(rank, std::move(w).take());
+    origins.emplace_back(rank, le32(static_cast<std::uint32_t>(data.size())));
   }
   for (const auto& [origin, sz] : st.origin_bytes) {
-    ByteWriter w;
-    w.u32(sz);
-    origins.emplace_back(origin, std::move(w).take());
+    origins.emplace_back(origin, le32(sz));
   }
   std::sort(origins.begin(), origins.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -755,13 +859,11 @@ void Iccl::gather_announce(StreamKey tag, GatherState& st) {
             " origins=" + std::to_string(origins.size()) + " bytes=" +
             std::to_string(gather_subtree_bytes(st)));
   }
-  send_up(encode_frame(static_cast<std::uint8_t>(Kind::GatherRts), tag,
-                       params_.rank, origins));
+  send_up(encode_frame(Kind::GatherRts, tag, params_.rank, origins));
 }
 
-void Iccl::handle_gather_rts(
-    StreamKey tag, std::uint32_t src,
-    std::vector<std::pair<std::uint32_t, Bytes>> entries) {
+void Iccl::handle_gather_rts(StreamKey tag, std::uint32_t src,
+                             const std::vector<EntryView>& entries) {
   GatherState& st = gather_state(tag);
   st.children_pending.erase(src);
   st.rndv_children.insert(src);
@@ -778,7 +880,7 @@ void Iccl::handle_gather_rts(
       }
     }
   }
-  std::vector<std::pair<std::uint32_t, Bytes>> resume;
+  std::vector<std::pair<std::uint32_t, U32Le>> resume;
   for (const auto& [origin, blob] : entries) {
     ByteReader r(blob);
     const std::uint32_t sz = r.u32().value_or(0);
@@ -801,11 +903,7 @@ void Iccl::handle_gather_rts(
       st.origin_remaining[origin] = sz;
       owned.insert(origin);
     }
-    if (reannounce) {
-      ByteWriter w;
-      w.u32(got);
-      resume.emplace_back(origin, std::move(w).take());
-    }
+    if (reannounce) resume.emplace_back(origin, le32(got));
   }
   if (heal_ && ready_fired_ && heal_slots_.count(src) != 0) {
     // The announce raced this child's own death (frames already in the
@@ -832,16 +930,14 @@ void Iccl::handle_gather_rts(
     // fully-retired round answers with offset == size: nothing to re-send.
     for (auto& [origin, blob] : resume) {
       if (st.retired) {
-        ByteWriter w;
-        w.u32(st.origin_bytes.count(origin) != 0 ? st.origin_bytes[origin]
-                                                 : 0);
-        blob = std::move(w).take();
+        blob = le32(st.origin_bytes.count(origin) != 0
+                        ? st.origin_bytes[origin]
+                        : 0);
       }
     }
     self_.machine().count("iccl.heal.gather_resumes_sent");
-    send_to_child(src,
-                  encode_frame(static_cast<std::uint8_t>(Kind::GatherResume),
-                               tag, params_.rank, resume));
+    send_to_child(src, encode_frame(Kind::GatherResume, tag, params_.rank,
+                                    resume));
   } else if (is_root()) {
     // The root is the sink: clear this child the moment its announce is
     // processed (no upstream clearance to wait for). Interior nodes instead
@@ -862,8 +958,7 @@ void Iccl::handle_gather_rts(
       mux_mark_cleared(tag, st);
       count_mux(tag, "gather_cts_sent");
       send_to_child(src,
-                    encode_frame(static_cast<std::uint8_t>(Kind::GatherCts),
-                                 tag, params_.rank, {}));
+                    encode_frame(Kind::GatherCts, tag, params_.rank));
     } else {
       st.grant_waiters.push_back(src);
       count_mux(tag, "mux.cts_deferred");
@@ -893,8 +988,7 @@ void Iccl::gather_begin_streaming(StreamKey tag, GatherState& st) {
     count_mux(tag, "gather_cts_sent");
     self_.post(static_cast<sim::Time>(k++) * quantum, [this, child, tag] {
       send_to_child(child,
-                    encode_frame(static_cast<std::uint8_t>(Kind::GatherCts),
-                                 tag, params_.rank, {}));
+                    encode_frame(Kind::GatherCts, tag, params_.rank));
     });
   }
   // Queue the locally-held entries as chunks (rank order); relayed chunks
@@ -903,11 +997,8 @@ void Iccl::gather_begin_streaming(StreamKey tag, GatherState& st) {
   for (auto& [rank, data] : st.acc) {
     const auto total = static_cast<std::uint32_t>(data.size());
     for (std::uint32_t begin = 0; begin < total; begin += chunk) {
-      const std::uint32_t len = std::min(chunk, total - begin);
-      st.outq.emplace_back(
-          rank, std::make_shared<const Bytes>(
-                    data.begin() + static_cast<std::ptrdiff_t>(begin),
-                    data.begin() + static_cast<std::ptrdiff_t>(begin + len)));
+      st.outq.emplace_back(rank,
+                           data.sub(begin, std::min(chunk, total - begin)));
     }
   }
   st.acc.clear();
@@ -917,7 +1008,8 @@ void Iccl::gather_flush(StreamKey tag, GatherState& st) {
   if (!st.streaming || st.heal_hold) return;
   // Serialized chunk posts, same cursor discipline as the downstream
   // rendezvous: each send occupies the CPU for one chunk-handle quantum and
-  // goes out of a registered buffer (no per-byte copy).
+  // goes out of a registered buffer (no per-byte copy; here each send
+  // encodes its frame from the queued slice).
   const sim::Time occ = self_.machine().costs().iccl_chunk_handle;
   const sim::Time now = self_.sim().now();
   // Heal mode pins each posted send to the parent link that existed at
@@ -932,18 +1024,16 @@ void Iccl::gather_flush(StreamKey tag, GatherState& st) {
       self_.post(depart - now,
                  [this, up, tag, origin = origin, chunk = std::move(chunk)] {
                    if (up != nullptr) {
-                     self_.send(up, encode_frame(
-                                        static_cast<std::uint8_t>(
-                                            Kind::GatherChunk),
-                                        tag, params_.rank, {{origin, *chunk}}));
+                     self_.send(up, encode_frame(Kind::GatherChunk, tag,
+                                                 params_.rank, origin,
+                                                 chunk.span()));
                    }
                  });
     } else {
       self_.post(depart - now,
                  [this, tag, origin = origin, chunk = std::move(chunk)] {
-                   send_up(encode_frame(
-                       static_cast<std::uint8_t>(Kind::GatherChunk), tag,
-                       params_.rank, {{origin, *chunk}}));
+                   send_up(encode_frame(Kind::GatherChunk, tag, params_.rank,
+                                        origin, chunk.span()));
                  });
     }
     st.cursor = depart + occ;
@@ -951,15 +1041,24 @@ void Iccl::gather_flush(StreamKey tag, GatherState& st) {
 }
 
 void Iccl::handle_gather_chunk(StreamKey tag, std::uint32_t origin,
-                               Bytes data) {
+                               Frame& frame) {
   auto it = gathers_.find(tag);
   if (it == gathers_.end()) return;  // round retired (late chunk after drop)
   GatherState& st = it->second;
   if (st.dropped.count(origin) != 0) return;
   count_mux(tag, "gather_chunks_received");
+  const auto data = frame.first().second;
   if (is_root()) {
     Bytes& buf = st.assembling[origin];
-    buf.insert(buf.end(), data.begin(), data.end());
+    const auto announced = st.origin_bytes.find(origin);
+    const std::size_t total =
+        announced == st.origin_bytes.end() ? 0 : announced->second;
+    if (buf.empty() && data.size() == total) {
+      buf = std::move(frame).take_first();  // one chunk: keep its buffer
+    } else {
+      if (buf.empty()) buf.reserve(total);
+      buf.insert(buf.end(), data.begin(), data.end());
+    }
     gather_check_complete(tag);
     return;
   }
@@ -986,8 +1085,7 @@ void Iccl::handle_gather_chunk(StreamKey tag, std::uint32_t origin,
     Bytes& keep = st.retained[origin];
     keep.insert(keep.end(), data.begin(), data.end());
   }
-  st.outq.emplace_back(origin,
-                       std::make_shared<const Bytes>(std::move(data)));
+  st.outq.emplace_back(origin, frame.slice(data));
   gather_flush(tag, st);
   gather_relay_maybe_done(tag);
 }
@@ -1006,7 +1104,11 @@ void Iccl::gather_check_complete(StreamKey tag) {
     const std::size_t got = a == st.assembling.end() ? 0 : a->second.size();
     if (got != sz) return;
   }
-  std::vector<std::pair<std::uint32_t, Bytes>> out = std::move(st.acc);
+  std::vector<std::pair<std::uint32_t, Bytes>> out;
+  out.reserve(st.acc.size() + st.origin_bytes.size());
+  for (const auto& [rank, data] : st.acc) {
+    out.emplace_back(rank, data.to_bytes());
+  }
   for (auto& [origin, bytes] : st.assembling) {
     if (st.dropped.count(origin) == 0) out.emplace_back(origin,
                                                         std::move(bytes));
@@ -1027,8 +1129,7 @@ void Iccl::gather_check_complete(StreamKey tag) {
     // Tell the tree the round is over so retired replay copies can be freed
     // and a late-reattaching orphan does not re-announce a delivered round.
     for (auto& [rank, ch] : children_) {
-      self_.send(ch, encode_frame(static_cast<std::uint8_t>(Kind::GatherDone),
-                                  tag, params_.rank, {}));
+      self_.send(ch, encode_frame(Kind::GatherDone, tag, params_.rank));
     }
     heal_retire_gather(tag, st, /*eager=*/false);
   } else {
@@ -1106,8 +1207,7 @@ void Iccl::gather_drop_origin(StreamKey tag, GatherState& st,
     // chunks for dropped origins, so the race is benign.
     auto rem = st.origin_remaining.find(origin);
     if (rem != st.origin_remaining.end()) rem->second = 0;
-    send_up(encode_frame(static_cast<std::uint8_t>(Kind::GatherDrop), tag,
-                         params_.rank, {{origin, Bytes{}}}));
+    send_up(encode_frame(Kind::GatherDrop, tag, params_.rank, origin, {}));
   } else {
     // Not yet announced: the parent never heard of the origin; just forget
     // it so the eventual RTS excludes it.
@@ -1116,9 +1216,8 @@ void Iccl::gather_drop_origin(StreamKey tag, GatherState& st,
   }
 }
 
-void Iccl::handle_gather_drop(
-    StreamKey tag,
-    const std::vector<std::pair<std::uint32_t, Bytes>>& entries) {
+void Iccl::handle_gather_drop(StreamKey tag,
+                              const std::vector<EntryView>& entries) {
   auto it = gathers_.find(tag);
   if (it == gathers_.end()) return;
   GatherState& st = it->second;
@@ -1134,45 +1233,42 @@ void Iccl::handle_gather_drop(
 
 void Iccl::scatter(StreamKey tag, std::vector<Bytes> parts) {
   assert(is_root());
-  std::vector<std::pair<std::uint32_t, Bytes>> entries;
+  std::vector<EntryView> entries;
   entries.reserve(parts.size());
   for (std::uint32_t r = 0; r < parts.size(); ++r) {
-    entries.emplace_back(r, std::move(parts[r]));
+    entries.emplace_back(r, parts[r]);
   }
-  handle_scatter(tag, std::move(entries));
+  scatter_down(tag, entries);
+  if (params_.rank < parts.size()) deliver_scatter(tag, parts[params_.rank]);
 }
 
-void Iccl::handle_scatter(
-    StreamKey tag, std::vector<std::pair<std::uint32_t, Bytes>> entries) {
-  // Partition by child subtree; deliver own part locally. Child sends go
-  // through the same serialized-send path as broadcast so that collectives
-  // issued in one event preserve their issue order on the wire. The
-  // subtrees partition the ranks, so each entry is *moved* into exactly one
-  // child's part (no per-level payload copies); the serialized quantum
-  // still charges the copy into that child's send buffer.
+void Iccl::scatter_down(StreamKey tag, const std::vector<EntryView>& entries) {
+  // Partition by child subtree. Child sends go through the same
+  // serialized-send path as broadcast so that collectives issued in one
+  // event preserve their issue order on the wire. Each child's frame is
+  // encoded straight from views of the entries, so every part is copied
+  // once per level (into that child's frame); the serialized quantum
+  // charges that copy.
   sim::Time offset = 0;
   for (auto& [child, link] : children_) {
     auto sub = topo_.subtree_of(child);
-    std::vector<std::pair<std::uint32_t, Bytes>> part;
+    std::vector<EntryView> part;
     std::size_t part_bytes = 0;
-    for (auto& [rank, data] : entries) {
+    for (const auto& [rank, data] : entries) {
       if (std::binary_search(sub.begin(), sub.end(), rank)) {
         part_bytes += data.size();
-        part.emplace_back(rank, std::move(data));
+        part.emplace_back(rank, data);
       }
     }
     if (!part.empty()) {
-      cluster::Message m = encode_frame(
-          static_cast<std::uint8_t>(Kind::Scatter), tag, params_.rank, part);
+      cluster::Message m =
+          encode_frame(Kind::Scatter, tag, params_.rank, part);
       self_.post(offset, [this, child, m = std::move(m)]() mutable {
         send_to_child(child, std::move(m));
       });
       offset += self_.machine().costs().iccl_msg_handle +
                 eager_copy_cost(part_bytes);
     }
-  }
-  for (auto& [rank, data] : entries) {
-    if (rank == params_.rank) deliver_scatter(tag, data);
   }
 }
 
@@ -1417,8 +1513,7 @@ void Iccl::adopt_parent(std::uint32_t target, cluster::ChannelPtr ch) {
     w.u32(rc.received);
     w.u32(rc.nchunks);
   }
-  self_.send(ch, encode_frame(static_cast<std::uint8_t>(Kind::Reattach), 0,
-                              params_.rank, {{0, std::move(w).take()}}));
+  self_.send(ch, encode_frame(Kind::Reattach, 0, params_.rank, 0, w.bytes()));
   heal_send_reannounces();
 }
 
@@ -1428,14 +1523,8 @@ void Iccl::heal_send_reannounces() {
       // The eager combined frame may have died with the old parent's inbox;
       // re-send it from the retained copies (the receiver keeps only the
       // origins it has not seen).
-      std::vector<std::pair<std::uint32_t, Bytes>> entries;
-      entries.reserve(st.retained.size());
-      for (const auto& [origin, data] : st.retained) {
-        entries.emplace_back(origin, data);
-      }
       self_.machine().count("iccl.heal.gather_reannounces");
-      send_up(encode_frame(static_cast<std::uint8_t>(Kind::GatherUp), tag,
-                           params_.rank, entries));
+      send_up(encode_frame(Kind::GatherUp, tag, params_.rank, st.retained));
       continue;
     }
     if (!st.announced) continue;
@@ -1447,30 +1536,24 @@ void Iccl::heal_send_reannounces() {
       sizes[origin] = static_cast<std::uint32_t>(data.size());
     }
     for (const auto& [origin, sz] : st.origin_bytes) sizes[origin] = sz;
-    std::vector<std::pair<std::uint32_t, Bytes>> origins;
+    std::vector<std::pair<std::uint32_t, U32Le>> origins;
     origins.reserve(sizes.size());
     for (const auto& [origin, sz] : sizes) {
-      ByteWriter w;
-      w.u32(sz);
-      origins.emplace_back(origin, std::move(w).take());
+      origins.emplace_back(origin, le32(sz));
     }
     self_.machine().count("iccl.heal.gather_reannounces");
-    send_up(encode_frame(static_cast<std::uint8_t>(Kind::GatherRts), tag,
-                         params_.rank, origins));
+    send_up(encode_frame(Kind::GatherRts, tag, params_.rank, origins));
     if (!st.dropped.empty()) {
-      std::vector<std::pair<std::uint32_t, Bytes>> drops;
+      std::vector<EntryView> drops;
       drops.reserve(st.dropped.size());
-      for (std::uint32_t origin : st.dropped) {
-        drops.emplace_back(origin, Bytes{});
-      }
-      send_up(encode_frame(static_cast<std::uint8_t>(Kind::GatherDrop), tag,
-                           params_.rank, drops));
+      for (std::uint32_t origin : st.dropped) drops.push_back({origin, {}});
+      send_up(encode_frame(Kind::GatherDrop, tag, params_.rank, drops));
     }
   }
 }
 
 void Iccl::handle_reattach(const cluster::ChannelPtr& ch, std::uint32_t src,
-                           const Bytes& blob) {
+                           std::span<const std::uint8_t> blob) {
   ByteReader r(blob);
   std::set<std::uint32_t> via;
   const std::uint32_t nvia = r.u32().value_or(0);
@@ -1563,20 +1646,15 @@ void Iccl::heal_replay_bcasts(
     const std::uint32_t from =
         open != open_recvs.end() ? open->second.first : 0;
     if (open == open_recvs.end()) {
-      ByteWriter w;
-      w.u32(snd.total);
-      send_to_child(orphan, encode_frame(
-                                static_cast<std::uint8_t>(Kind::RndvRts), tag,
-                                params_.rank, {{snd.nchunks,
-                                                std::move(w).take()}}));
+      send_to_child(orphan, encode_frame(Kind::RndvRts, tag, params_.rank,
+                                         snd.nchunks, le32(snd.total)));
     }
     self_.machine().count("iccl.heal.bcast_replays");
     for (std::uint32_t seq = from; seq < snd.next_seq; ++seq) {
-      send_to_child(orphan,
-                    encode_frame(static_cast<std::uint8_t>(Kind::RndvChunk),
-                                 tag, params_.rank, {{seq, *snd.ready[seq]}}));
+      send_to_child(orphan, encode_frame(Kind::RndvChunk, tag, params_.rank,
+                                         seq, snd.ready[seq].span()));
       self_.machine().count("iccl.heal.bcast_replay_bytes",
-                            static_cast<double>(snd.ready[seq]->size()));
+                            static_cast<double>(snd.ready[seq].size()));
     }
   }
   // Delivered history: rounds the orphan missed entirely, or was mid-
@@ -1595,41 +1673,28 @@ void Iccl::heal_replay_bcasts(
            ++seq) {
         const std::size_t begin = static_cast<std::size_t>(seq) * chunk;
         const std::size_t len = std::min<std::size_t>(chunk, total - begin);
-        Bytes piece(
-            payload->begin() + static_cast<std::ptrdiff_t>(begin),
-            payload->begin() + static_cast<std::ptrdiff_t>(begin + len));
         send_to_child(orphan,
-                      encode_frame(static_cast<std::uint8_t>(Kind::RndvChunk),
-                                   tag, params_.rank,
-                                   {{seq, std::move(piece)}}));
+                      encode_frame(Kind::RndvChunk, tag, params_.rank, seq,
+                                   std::span(*payload).subspan(begin, len)));
         self_.machine().count("iccl.heal.bcast_replay_bytes",
                               static_cast<double>(len));
       }
     } else if (use_rendezvous(payload->size())) {
       const std::uint32_t nchunks = (total + chunk - 1) / chunk;
-      ByteWriter w;
-      w.u32(total);
-      send_to_child(orphan, encode_frame(
-                                static_cast<std::uint8_t>(Kind::RndvRts), tag,
-                                params_.rank, {{nchunks,
-                                                std::move(w).take()}}));
+      send_to_child(orphan, encode_frame(Kind::RndvRts, tag, params_.rank,
+                                         nchunks, le32(total)));
       for (std::uint32_t seq = 0; seq < nchunks; ++seq) {
         const std::size_t begin = static_cast<std::size_t>(seq) * chunk;
         const std::size_t len = std::min<std::size_t>(chunk, total - begin);
-        Bytes piece(
-            payload->begin() + static_cast<std::ptrdiff_t>(begin),
-            payload->begin() + static_cast<std::ptrdiff_t>(begin + len));
         send_to_child(orphan,
-                      encode_frame(static_cast<std::uint8_t>(Kind::RndvChunk),
-                                   tag, params_.rank,
-                                   {{seq, std::move(piece)}}));
+                      encode_frame(Kind::RndvChunk, tag, params_.rank, seq,
+                                   std::span(*payload).subspan(begin, len)));
       }
       self_.machine().count("iccl.heal.bcast_replay_bytes",
                             static_cast<double>(total));
     } else {
-      send_to_child(orphan,
-                    encode_frame(static_cast<std::uint8_t>(Kind::Bcast), tag,
-                                 params_.rank, {{0, *payload}}));
+      send_to_child(orphan, encode_frame(Kind::Bcast, tag, params_.rank, 0,
+                                         *payload));
       self_.machine().count("iccl.heal.bcast_replay_bytes",
                             static_cast<double>(total));
     }
@@ -1648,9 +1713,8 @@ void Iccl::heal_replay_bcasts(
   }
 }
 
-void Iccl::handle_gather_resume(
-    StreamKey tag,
-    const std::vector<std::pair<std::uint32_t, Bytes>>& entries) {
+void Iccl::handle_gather_resume(StreamKey tag,
+                                const std::vector<EntryView>& entries) {
   auto it = gathers_.find(tag);
   if (it == gathers_.end()) return;
   GatherState& st = it->second;
@@ -1678,9 +1742,9 @@ void Iccl::handle_gather_resume(
       const std::uint32_t len = std::min(chunk, total - begin);
       st.outq.emplace_back(
           origin,
-          std::make_shared<const Bytes>(
+          ByteSlice(Bytes(
               ret->second.begin() + static_cast<std::ptrdiff_t>(begin),
-              ret->second.begin() + static_cast<std::ptrdiff_t>(begin + len)));
+              ret->second.begin() + static_cast<std::ptrdiff_t>(begin + len))));
       self_.machine().count("iccl.heal.gather_requeued_bytes",
                             static_cast<double>(len));
     }
@@ -1692,8 +1756,7 @@ void Iccl::handle_gather_resume(
 void Iccl::handle_gather_done(StreamKey tag) {
   // Propagate: every descendant can free its replay copy of the round.
   for (auto& [rank, ch] : children_) {
-    self_.send(ch, encode_frame(static_cast<std::uint8_t>(Kind::GatherDone),
-                                tag, params_.rank, {}));
+    self_.send(ch, encode_frame(Kind::GatherDone, tag, params_.rank));
   }
   auto it = gathers_.find(tag);
   if (it != gathers_.end()) {
@@ -1716,8 +1779,7 @@ void Iccl::leave() {
                                 "heal: rank " + std::to_string(params_.rank) +
                                     " leaving the session");
   if (!is_root() && parent_ != nullptr) {
-    send_up(encode_frame(static_cast<std::uint8_t>(Kind::Leave), 0,
-                         params_.rank, {}));
+    send_up(encode_frame(Kind::Leave, 0, params_.rank));
   }
   // Give the frame a head start, then exit. Children notice the closed
   // links and heal onto an ancestor through the normal reparent path.
@@ -1804,8 +1866,7 @@ void Iccl::mux_mark_cleared(StreamKey tag, GatherState& st) {
   for (std::uint32_t child : st.grant_waiters) {
     count_mux(tag, "gather_cts_sent");
     send_to_child(child,
-                  encode_frame(static_cast<std::uint8_t>(Kind::GatherCts),
-                               tag, params_.rank, {}));
+                  encode_frame(Kind::GatherCts, tag, params_.rank));
   }
   st.grant_waiters.clear();
 }

@@ -20,6 +20,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -207,6 +208,12 @@ class Iccl {
                                                std::uint32_t fanout);
 
  private:
+  /// One frame entry, viewed in place: (rank or seq, payload bytes).
+  using EntryView = std::pair<std::uint32_t, std::span<const std::uint8_t>>;
+  /// A received fabric frame (defined in iccl.cpp): header fields plus the
+  /// entries, viewed in the received buffer it owns.
+  struct Frame;
+
   /// One gather round (keyed by tag). Small rounds run eager: each node
   /// waits for every child's whole-subtree GatherUp frame, appends its own
   /// contribution and forwards one combined frame. Rounds whose *subtree
@@ -222,8 +229,9 @@ class Iccl {
     /// Children whose announce (eager GatherUp or GatherRts) is still
     /// outstanding. A set (not a count) so a dying child can be forgiven.
     std::set<std::uint32_t> children_pending;
-    /// Entries held whole on this node: own contribution + eager children.
-    std::vector<std::pair<std::uint32_t, Bytes>> acc;
+    /// Entries held whole on this node: own contribution + eager children
+    /// (slices of the received GatherUp frames, not copies).
+    std::vector<std::pair<std::uint32_t, ByteSlice>> acc;
     // --- rendezvous upstream state ---------------------------------------
     bool announced = false;  ///< GatherRts sent up (non-root only)
     bool streaming = false;  ///< own GatherCts processed; chunks may flow
@@ -236,9 +244,10 @@ class Iccl {
     /// Relay only: bytes of each announced origin not yet relayed.
     std::map<std::uint32_t, std::uint32_t> origin_remaining;
     std::set<std::uint32_t> dropped;  ///< origins lost mid-stream
-    /// Chunk send queue through the serialized cursor; entries release
-    /// their buffer once scheduled (the posted send keeps its own ref).
-    std::vector<std::pair<std::uint32_t, std::shared_ptr<const Bytes>>> outq;
+    /// Chunk send queue through the serialized cursor: slices of the own
+    /// contribution or of received GatherChunk frames. Entries release their
+    /// buffer once scheduled (the posted send keeps its own ref).
+    std::vector<std::pair<std::uint32_t, ByteSlice>> outq;
     std::size_t next_out = 0;
     sim::Time cursor = 0;  ///< serialized send occupancy (absolute time)
     obs::SpanId span = obs::kNoSpan;
@@ -277,17 +286,22 @@ class Iccl {
     std::set<std::uint32_t> cts_pending;  ///< child ranks yet to CTS
     bool streaming = false;               ///< all CTS in, chunks may flow
     std::uint32_t next_seq = 0;           ///< next chunk to schedule
-    std::vector<std::shared_ptr<const Bytes>> ready;  ///< chunks, by seq
+    /// Chunks by seq: slices of the payload (root) or of the assembly
+    /// buffer (relay); a send encodes its frame from the slice.
+    std::vector<ByteSlice> ready;
     sim::Time cursor = 0;  ///< serialized send occupancy (absolute time)
     obs::SpanId span = obs::kNoSpan;  ///< RTS fan-out .. last chunk out
   };
 
   /// Receiver side: assembles chunks in sequence order (per-channel FIFO
-  /// guarantees ordering) and delivers once complete.
+  /// guarantees ordering) and delivers once complete. A one-chunk round
+  /// adopts the received frame's buffer as the payload; longer rounds copy
+  /// into a buffer reserved for the announced total, which never
+  /// reallocates, so relayed chunks are slices of it.
   struct RndvRecv {
     std::uint32_t nchunks = 0;
     std::uint32_t received = 0;
-    Bytes assembled;
+    std::shared_ptr<Bytes> assembled;
     obs::SpanId span = obs::kNoSpan;  ///< RTS in .. payload assembled
   };
 
@@ -296,10 +310,10 @@ class Iccl {
   void handle_register(const cluster::ChannelPtr& ch, std::uint32_t rank);
   void handle_setup_up();
   void handle_bcast(StreamKey tag, Bytes data);
-  void handle_gather_up(StreamKey tag, std::uint32_t src,
-                        std::vector<std::pair<std::uint32_t, Bytes>> entries);
-  void handle_scatter(StreamKey tag,
-                      std::vector<std::pair<std::uint32_t, Bytes>> entries);
+  void handle_gather_up(StreamKey tag, std::uint32_t src, Frame& frame);
+  /// Sends each child subtree its part of a scatter (one frame per child);
+  /// the caller delivers this rank's own part.
+  void scatter_down(StreamKey tag, const std::vector<EntryView>& entries);
   void maybe_subtree_ready();
   void flush_gather(StreamKey tag);
   // --- rendezvous gather (upstream data plane) ----------------------------
@@ -309,16 +323,15 @@ class Iccl {
   /// the parent's GatherCts before any payload moves.
   void gather_announce(StreamKey tag, GatherState& st);
   void handle_gather_rts(StreamKey tag, std::uint32_t src,
-                         std::vector<std::pair<std::uint32_t, Bytes>> entries);
+                         const std::vector<EntryView>& entries);
   void handle_gather_cts(StreamKey tag);
   /// The CTS body (clear children, queue held entries): shared by the
   /// normal clearance and the heal resume path.
   void gather_begin_streaming(StreamKey tag, GatherState& st);
   void handle_gather_chunk(StreamKey tag, std::uint32_t origin,
-                           Bytes data);
+                           Frame& frame);
   void handle_gather_drop(StreamKey tag,
-                          const std::vector<std::pair<std::uint32_t, Bytes>>&
-                              entries);
+                          const std::vector<EntryView>& entries);
   /// Streams every queued-but-unsent gather chunk through the cursor.
   void gather_flush(StreamKey tag, GatherState& st);
   /// Root: delivers the round once every announced origin is complete or
@@ -372,10 +385,9 @@ class Iccl {
   /// live-stream traffic before the replay runs, or catch-up chunks would
   /// arrive out of order.
   void handle_reattach(const cluster::ChannelPtr& ch, std::uint32_t src,
-                       const Bytes& blob);
-  void handle_gather_resume(
-      StreamKey tag,
-      const std::vector<std::pair<std::uint32_t, Bytes>>& entries);
+                       std::span<const std::uint8_t> blob);
+  void handle_gather_resume(StreamKey tag,
+                            const std::vector<EntryView>& entries);
   void handle_gather_done(StreamKey tag);
   void handle_leave(std::uint32_t src);
   /// Adopter side: open a heal slot for a dead child and suspend its stake
@@ -417,7 +429,7 @@ class Iccl {
   void handle_rndv_rts(StreamKey tag, std::uint32_t nchunks,
                        std::uint32_t total);
   void handle_rndv_cts(StreamKey tag, std::uint32_t src);
-  void handle_rndv_chunk(StreamKey tag, std::uint32_t seq, Bytes data);
+  void handle_rndv_chunk(StreamKey tag, std::uint32_t seq, Frame& frame);
   /// Streams every ready-but-unsent chunk through the serialized cursor.
   void rndv_flush(StreamKey tag, RndvSend& st);
   /// A child link died: drop it from the fan-out and unblock any rendezvous

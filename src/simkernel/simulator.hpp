@@ -7,10 +7,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
-#include <string>
 
+#include "simkernel/callback.hpp"
 #include "simkernel/event_queue.hpp"
 #include "simkernel/rng.hpp"
 #include "simkernel/time.hpp"
@@ -30,12 +29,10 @@ class Simulator {
 
   /// Schedules `fn` to run at now()+delay. Negative delays are clamped to 0
   /// (events never run in the past).
-  EventId schedule(Time delay, std::function<void()> fn);
+  void schedule(Time delay, Callback fn);
 
   /// Schedules at an absolute timestamp (>= now()).
-  EventId schedule_at(Time when, std::function<void()> fn);
-
-  void cancel(EventId id) { queue_.cancel(id); }
+  void schedule_at(Time when, Callback fn);
 
   /// Runs events until the queue drains or `until` is passed. Returns the
   /// number of events executed.

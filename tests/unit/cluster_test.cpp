@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "cluster/machine.hpp"
 #include "cluster/tracing.hpp"
@@ -412,6 +414,68 @@ TEST(Tracing, AttachStopsRunningProcessAndDetachResumes) {
   f.sim.run(sim::ms(800));
   EXPECT_EQ(f.machine.find_process(target_pid)->state(), ProcState::Running);
   EXPECT_GT(ticks, frozen);
+}
+
+TEST(Tracing, DeliveriesDeferredWhileStoppedRunInArrivalOrder) {
+  Fixture f;
+  std::vector<std::string> seen;
+  Pid target_pid = kInvalidPid;
+
+  // The target's own continuations (posted before the stop, due while it is
+  // stopped) interleave with messages arriving while it is stopped.
+  auto target = std::make_unique<Hooks>();
+  target->start = [&seen](Process& self) {
+    ASSERT_TRUE(self.listen(9000).is_ok());
+    self.post(sim::ms(300), [&seen] { seen.push_back("post1"); });
+    self.post(sim::ms(500), [&seen,
+                             tag = std::make_unique<std::string>("post2")] {
+      seen.push_back(*tag);
+    });
+  };
+  target->connection = [&seen](Process&, ChannelPtr) {
+    seen.push_back("accept");
+  };
+  target->message = [&seen](Process&, const ChannelPtr&, Message m) {
+    seen.emplace_back(m.bytes.begin(), m.bytes.end());
+  };
+  target_pid = f.spawn_hooks(f.machine.compute_node(0), std::move(target));
+
+  TraceSession* session = nullptr;
+  auto tracer = std::make_unique<Hooks>();
+  tracer->start = [&](Process& self) {
+    auto res = self.trace_attach(target_pid, [](const DebugEvent&) {});
+    ASSERT_TRUE(res.is_ok());
+    session = res.value;
+  };
+  f.spawn_hooks(f.machine.front_end(), std::move(tracer));
+
+  auto client = std::make_unique<Hooks>();
+  client->start = [](Process& self) {
+    self.post(sim::ms(100), [&self] {
+      self.connect("test1", 9000, [&self](Status st, ChannelPtr ch) {
+        ASSERT_TRUE(st.is_ok());
+        auto send_at = [&self, ch](sim::Time delay, const char* text) {
+          self.post(delay, [&self, ch, text] {
+            ByteWriter w;
+            w.raw(as_bytes(text));
+            self.send(ch, Message(std::move(w).take()));
+          });
+        };
+        send_at(sim::ms(300), "msg1");
+        send_at(sim::ms(500), "msg2");
+      });
+    });
+  };
+  f.spawn_hooks(f.machine.compute_node(1), std::move(client));
+
+  f.sim.run(sim::ms(900));
+  ASSERT_NE(session, nullptr);
+  EXPECT_EQ(f.machine.find_process(target_pid)->state(), ProcState::Stopped);
+  EXPECT_TRUE(seen.empty());
+  session->detach();
+  f.sim.run();
+  EXPECT_EQ(seen, (std::vector<std::string>{"accept", "post1", "msg1",
+                                            "post2", "msg2"}));
 }
 
 TEST(Tracing, AttachToDeadProcessFails) {

@@ -1,6 +1,10 @@
 // Unit tests for the discrete-event simulation kernel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -19,7 +23,7 @@ TEST(EventQueue, OrdersByTime) {
   q.push(30, [&] { fired.push_back(3); });
   q.push(10, [&] { fired.push_back(1); });
   q.push(20, [&] { fired.push_back(2); });
-  while (!q.empty()) q.pop().second();
+  while (!q.empty()) q.run_next();
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
 
@@ -29,44 +33,202 @@ TEST(EventQueue, FifoForEqualTimestamps) {
   for (int i = 0; i < 10; ++i) {
     q.push(5, [&fired, i] { fired.push_back(i); });
   }
-  while (!q.empty()) q.pop().second();
+  while (!q.empty()) q.run_next();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(fired[static_cast<size_t>(i)], i);
 }
 
-TEST(EventQueue, CancelSkipsEvent) {
-  EventQueue q;
-  std::vector<int> fired;
-  q.push(1, [&] { fired.push_back(1); });
-  EventId id = q.push(2, [&] { fired.push_back(2); });
-  q.push(3, [&] { fired.push_back(3); });
-  q.cancel(id);
-  while (!q.empty()) q.pop().second();
-  EXPECT_EQ(fired, (std::vector<int>{1, 3}));
-}
-
-TEST(EventQueue, CancelUnknownIsNoop) {
-  EventQueue q;
-  q.push(1, [] {});
-  q.cancel(EventId{9999});
-  EXPECT_FALSE(q.empty());
-}
-
-TEST(EventQueue, CancelAndPopKeepTimeThenPushOrder) {
+TEST(EventQueue, PopThenPushKeepsTimeThenPushOrder) {
   EventQueue q;
   std::vector<int> fired;
   q.push(5, [&] { fired.push_back(1); });
-  const EventId done = q.push(1, [&] { fired.push_back(0); });
-  q.pop().second();
-  q.cancel(done);  // already fired: no-op
+  q.push(1, [&] { fired.push_back(0); });
+  q.run_next();
   q.push(5, [&] { fired.push_back(2); });
-  const EventId dropped = q.push(3, [&] { fired.push_back(-1); });
   q.push(5, [&] { fired.push_back(3); });
-  q.cancel(dropped);
   q.push(4, [&] { fired.push_back(4); });
   EXPECT_EQ(q.size(), 4u);
   EXPECT_EQ(q.next_time(), 4);
-  while (!q.empty()) q.pop().second();
+  while (!q.empty()) q.run_next();
   EXPECT_EQ(fired, (std::vector<int>{0, 4, 1, 2, 3}));
+}
+
+/// The binary-heap queue the kernel used before the 4-ary slot heap:
+/// std::push_heap/pop_heap over (when, seq, std::function) entries. Kept
+/// here only as the oracle for the pop order.
+class OracleQueue {
+ public:
+  void push(Time when, std::function<void()> fn) {
+    heap_.push_back(Entry{when, next_seq_++, std::move(fn)});
+    std::push_heap(heap_.begin(), heap_.end(), later);
+  }
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  void run_next() {
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    Entry e = std::move(heap_.back());
+    heap_.pop_back();
+    e.fn();
+  }
+
+ private:
+  struct Entry {
+    Time when;
+    std::uint64_t seq;
+    std::function<void()> fn;
+  };
+  static bool later(const Entry& a, const Entry& b) {
+    return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+  }
+  std::vector<Entry> heap_;
+  std::uint64_t next_seq_ = 1;
+};
+
+/// Drives `Queue` through a seeded script of ~1e5 events and returns the
+/// event ids in the order they ran. Every push depends only on the ids and
+/// times seen so far, so two queues get the same pushes exactly as long as
+/// they pop in the same order. A running event pushes 0-2 children, most of
+/// them at its own time (now); between pops the driver pushes runs of equal
+/// timestamps, some long enough (up to 120) to span several 4-ary levels.
+template <typename Queue>
+std::vector<std::uint64_t> drive(std::uint64_t seed) {
+  constexpr std::uint64_t kEvents = 100000;
+  Queue q;
+  Rng rng(seed);
+  std::vector<std::uint64_t> order;
+  order.reserve(kEvents);
+  std::uint64_t next_id = 0;
+  Time now = 0;
+  std::function<void(std::uint64_t, Time)> push = [&](std::uint64_t id,
+                                                       Time when) {
+    q.push(when, [&, id, when] {
+      now = when;
+      order.push_back(id);
+      Rng kids(seed ^ (id * 0x9E3779B97F4A7C15ULL));
+      const auto n = kids.next_below(3);
+      for (std::uint64_t k = 0; k < n && next_id < kEvents; ++k) {
+        const Time delay =
+            kids.next_below(4) == 0 ? static_cast<Time>(kids.next_below(50))
+                                    : 0;
+        push(next_id++, now + delay);
+      }
+    });
+  };
+  while (next_id < kEvents || !q.empty()) {
+    if (next_id < kEvents && (q.empty() || rng.next_below(3) == 0)) {
+      const Time at = now + static_cast<Time>(rng.next_below(20));
+      const auto run = 1 + rng.next_below(rng.next_below(8) == 0 ? 120 : 6);
+      for (std::uint64_t i = 0; i < run && next_id < kEvents; ++i) {
+        push(next_id++, at);
+      }
+    } else {
+      q.run_next();
+    }
+  }
+  return order;
+}
+
+TEST(EventQueue, PopsTheSameSequenceAsTheBinaryHeapOracle) {
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    const std::vector<std::uint64_t> want = drive<OracleQueue>(seed);
+    const std::vector<std::uint64_t> got = drive<EventQueue>(seed);
+    ASSERT_EQ(want.size(), 100000u);
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    const auto diverge = std::mismatch(got.begin(), got.end(), want.begin());
+    EXPECT_TRUE(diverge.first == got.end())
+        << "seed " << seed << ": first difference at pop "
+        << (diverge.first - got.begin());
+  }
+}
+
+/// Counts live copies of itself in *live: every constructed instance must
+/// be destroyed exactly once, so *live returns to 0 and never goes below.
+template <std::size_t kPad>
+struct Tracked {
+  Tracked(int* live_count, int* ran_count)
+      : live(live_count), ran(ran_count) {
+    ++*live;
+  }
+  Tracked(Tracked&& o) noexcept : live(o.live), ran(o.ran), pad(o.pad) {
+    ++*live;
+  }
+  Tracked(const Tracked&) = delete;
+  ~Tracked() { --*live; }
+  void operator()() { ++*ran; }
+
+  int* live;
+  int* ran;
+  std::array<char, kPad> pad{};
+};
+using SmallTracked = Tracked<64>;
+using BigTracked = Tracked<512>;
+static_assert(Callback::fits_inline<SmallTracked>());
+static_assert(!Callback::fits_inline<BigTracked>());
+
+TEST(Callback, MoveOnlyCaptureRuns) {
+  Simulator sim;
+  int got = 0;
+  sim.schedule(1, [p = std::make_unique<int>(7), &got] { got = *p; });
+  sim.run();
+  EXPECT_EQ(got, 7);
+}
+
+TEST(Callback, OversizeCaptureRunsThroughTheHeap) {
+  std::array<std::uint64_t, 32> big{};
+  big[31] = 9;
+  std::uint64_t got = 0;
+  auto fn = [big, &got] { got = big[31]; };
+  static_assert(!Callback::fits_inline<decltype(fn)>());
+  Simulator sim;
+  sim.schedule(1, fn);
+  sim.run();
+  EXPECT_EQ(got, 9u);
+}
+
+TEST(Callback, MovesAndResetsDestroyEachCallableOnce) {
+  int live = 0;
+  int ran = 0;
+  {
+    Callback a(SmallTracked(&live, &ran));
+    Callback b(BigTracked(&live, &ran));
+    EXPECT_EQ(live, 2);
+    Callback c(std::move(a));
+    EXPECT_FALSE(a);
+    EXPECT_EQ(live, 2);
+    c();
+    b = std::move(c);  // destroys b's callable, takes c's
+    EXPECT_FALSE(c);
+    EXPECT_EQ(live, 1);
+    b();
+    b.reset();
+    EXPECT_EQ(live, 0);
+    Callback d(BigTracked(&live, &ran));
+    Callback e(std::move(d));
+    EXPECT_EQ(live, 1);
+  }
+  EXPECT_EQ(live, 0);
+  EXPECT_EQ(ran, 2);
+}
+
+TEST(Callback, EventsRunOrDroppedAtDestructionAreDestroyedOnce) {
+  int live = 0;
+  int ran = 0;
+  {
+    Simulator sim;
+    for (int i = 0; i < 300; ++i) {
+      sim.schedule(i, SmallTracked(&live, &ran));
+      sim.schedule(i, BigTracked(&live, &ran));
+    }
+    EXPECT_EQ(live, 600);
+    sim.run(149);  // times 0..149 run; 150..299 stay pending
+    EXPECT_EQ(ran, 300);
+    EXPECT_EQ(live, 300);
+    // Freed slots are reused by new events without disturbing pending ones.
+    for (int i = 0; i < 50; ++i) sim.schedule(1, SmallTracked(&live, &ran));
+    EXPECT_EQ(live, 350);
+    sim.run(150);
+    EXPECT_EQ(ran, 352);
+    EXPECT_EQ(live, 298);
+  }
+  EXPECT_EQ(live, 0);  // the simulator destroyed the events it never ran
 }
 
 TEST(Simulator, TimeAdvancesMonotonically) {
